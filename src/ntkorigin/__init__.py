@@ -46,6 +46,7 @@ from .kernel import (
     feature_map,
     indicator,
     kappa,
+    kernel_matrix,
     limit_indicator,
     ntk,
     sample_features,

@@ -171,7 +171,7 @@ class DegreeClass:
 
 
 def fit_profile(
-    f: Callable[[Point], float],
+    f: Callable[[np.ndarray], np.ndarray],
     base: Point,
     v: Direction,
     radius: float,
@@ -180,8 +180,10 @@ def fit_profile(
 ) -> ExtrapolationProfile:
     """Fit f(base + s*v) by a degree-degmax polynomial over m symmetric offsets.
 
-    The fit runs in the scaled variable u = s/radius for conditioning; physical
-    coefficients are recovered by dividing by radius^j.
+    f is called once, on the (m, d) array whose rows are the sample points,
+    and returns their m values. The fit runs in the scaled variable
+    u = s/radius for conditioning; physical coefficients are recovered by
+    dividing by radius^j.
     """
     if radius <= 0:
         raise InvalidInput(f"radius must be positive, got {radius}")
@@ -192,12 +194,12 @@ def fit_profile(
     if base.dim != v.dim:
         raise DimensionError("base point and direction dimensions differ")
     offsets = np.linspace(-radius, radius, m)
-    vals = np.empty(m)
-    for i, s in enumerate(offsets):
-        y = f(Point(base.coords + s * v.coords))
-        if not np.isfinite(y):
-            raise EvaluationError(f"f returned {y!r} at offset {s}")
-        vals[i] = y
+    vals = np.asarray(f(base.coords + offsets[:, None] * v.coords), dtype=np.float64)
+    if vals.shape != (m,):
+        raise EvaluationError(f"f returned shape {vals.shape} for {m} sample points")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise EvaluationError(f"f returned {float(vals[bad[0]])!r} at offset {offsets[bad[0]]}")
     vander = np.vander(offsets / radius, degmax + 1, increasing=True)
     sol, _, rank, _ = np.linalg.lstsq(vander, vals, rcond=None)
     if rank < degmax + 1:

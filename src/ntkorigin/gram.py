@@ -24,7 +24,7 @@ from .errors import (
     NumericalFailure,
 )
 from .geometry import ShiftedTrainingSet
-from .kernel import FeatureSample, KernelMode, MonteCarlo, _analytic_value, _mc_contribs
+from .kernel import FeatureSample, KernelMode, MonteCarlo, kernel_matrix
 
 RESIDUAL_BOUND = 1e-8
 
@@ -117,28 +117,15 @@ class AlphaVector:
 def assemble_gram(ts: ShiftedTrainingSet, mode: KernelMode) -> GramMatrix:
     """Pairwise kernel matrix of the shifted training inputs.
 
-    Only the upper triangle is computed; the mirror makes symmetry exact in
-    floating point. Monte Carlo entries share the sample's per-point
-    pre-activations so gram entries match scalar `ntk` calls bit for bit.
+    The upper triangle is mirrored onto the lower, which makes symmetry exact
+    in floating point. Every kept entry matches a scalar `ntk` call bit for bit.
     """
     a = ts.augmented
-    n = ts.n
-    out = np.zeros((n, n))
-    if isinstance(mode, MonteCarlo):
-        w = mode.features.weights
-        if w.shape[1] != a.shape[1]:
-            raise DimensionError("feature sample dimension does not match training set")
-        for i in range(n):
-            for j in range(i, n):
-                out[i, j] = _mc_contribs(a[i], a[j], w).mean()
-        tag, feats = "mc", mode.features
-    else:
-        for i in range(n):
-            for j in range(i, n):
-                out[i, j] = _analytic_value(a[i], a[j])
-        tag, feats = "analytic", None
+    out = kernel_matrix(a, a, mode)
     out = np.triu(out) + np.triu(out, 1).T
-    return GramMatrix(entries=out, mode=tag, features=feats)
+    if isinstance(mode, MonteCarlo):
+        return GramMatrix(entries=out, mode="mc", features=mode.features)
+    return GramMatrix(entries=out, mode="analytic")
 
 
 def asymptotic_gram(n: int, kappa: float, t: float) -> GramMatrix:

@@ -15,12 +15,19 @@ with theta the angle between x and y. The closed form is derived, not assumed:
 the test suite gates it against the Monte Carlo estimator before anything else
 relies on it.
 
+`kernel_matrix` evaluates either mode for every pair drawn from two stacks of
+augmented rows and is what gram assembly and the predictors call; `ntk` is the
+same computation for a single pair, with the Monte Carlo standard error.
+
 Ties follow the ">= 0" convention: an exactly-zero pre-activation indicates 1.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -36,7 +43,7 @@ class FeatureSample:
     seed: int
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = np.ascontiguousarray(self.weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 2:
             raise DimensionError(f"weights must be (K, d+1) with K >= 1, got {w.shape}")
         w.setflags(write=False)
@@ -52,10 +59,16 @@ class FeatureSample:
         """Data dimension d (the weights live in d+1)."""
         return self.weights.shape[1] - 1
 
+    @cached_property
+    def digest(self) -> bytes:
+        """SHA-256 of the weight bytes, computed on first use: sweeps that never
+        compare samples do not pay for hashing up to 1e6 x (d+1) weights."""
+        return hashlib.sha256(self.weights.data).digest()
+
     def same_sample(self, other: "FeatureSample") -> bool:
-        return (
-            self is other
-            or (self.seed == other.seed and self.weights.shape == other.weights.shape)
+        """True when both hold the same weights, whatever seed either was labelled with."""
+        return self is other or (
+            self.weights.shape == other.weights.shape and self.digest == other.digest
         )
 
 
@@ -138,38 +151,87 @@ def feature_map(p: AugmentedPoint | np.ndarray, fs: FeatureSample) -> np.ndarray
     return np.hstack([a[None, :] * act[:, None], (s * act)[:, None]])
 
 
-def _mc_contribs(xa: np.ndarray, ya: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per-feature kernel integrand values for one pair of augmented vectors."""
-    sx = weights @ xa
-    sy = weights @ ya
-    joint = (sx >= 0.0) & (sy >= 0.0)
-    return (np.dot(xa, ya) + sx * sy) * joint
+def _row_pair(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate two stacks of augmented rows of one width."""
+    out = []
+    for name, a in (("xs", xs), ("ys", ys)):
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim != 2 or a.shape[1] < 2:
+            raise DimensionError(f"{name} must be (m, d+1) augmented rows, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise InvalidInput(f"{name} contains non-finite entries")
+        out.append(a)
+    if out[0].shape[1] != out[1].shape[1]:
+        raise DimensionError(f"augmented widths differ: {out[0].shape[1]} vs {out[1].shape[1]}")
+    return out[0], out[1]
 
 
-def _analytic_value(xa: np.ndarray, ya: np.ndarray) -> float:
-    dot = np.dot(xa, ya)
-    nx = float(np.linalg.norm(xa))
-    ny = float(np.linalg.norm(ya))
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, reduced like `np.linalg.norm` of one vector."""
+    return np.sqrt(np.vecdot(a, a))
+
+
+def _arc_cosine(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Closed-form kernel for every pair of rows, shape (m, n).
+
+    The d+1 axis is contracted with `vecdot`, which reduces each pair exactly
+    like a 1-D `np.dot`; a matrix product would reorder the sums.
+    """
+    nx = _norms(xs)
+    ny = _norms(ys)
     # Chord-based angle: well conditioned at theta ~ 0, where arccos of a
     # rounded cosine loses half the significand.
-    half_chord = float(np.linalg.norm(xa / nx - ya / ny)) / 2.0
-    theta = 2.0 * np.arcsin(min(1.0, half_chord))
-    cos = min(1.0, max(-1.0, dot / (nx * ny)))
-    return float((dot * (np.pi - theta) + nx * ny * ((np.pi - theta) * cos + np.sin(theta))) / (2.0 * np.pi))
+    half_chord = _norms(xs[:, None, :] / nx[:, None, None] - ys[None, :, :] / ny[None, :, None]) / 2.0
+    theta = 2.0 * np.arcsin(np.minimum(1.0, half_chord))
+    dot = np.vecdot(xs[:, None, :], ys[None, :, :])
+    nxy = np.outer(nx, ny)
+    cos = np.clip(dot / nxy, -1.0, 1.0)
+    return (dot * (np.pi - theta) + nxy * ((np.pi - theta) * cos + np.sin(theta))) / (2.0 * np.pi)
+
+
+def _mc_integrand(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray) -> Iterator[np.ndarray]:
+    """Per-feature integrand values, one (n, K) block for each row of xs.
+
+    Pre-activations are one matrix-vector product per row, and the feature
+    axis is contiguous, so a mean over it sums in the same order for a single
+    pair as for a whole block. When xs is ys, its pre-activations are reused.
+    """
+    if weights.shape[1] != xs.shape[1]:
+        raise DimensionError(f"feature dim {weights.shape[1]} != augmented dim {xs.shape[1]}")
+    sy = np.empty((ys.shape[0], weights.shape[0]))
+    for out, y in zip(sy, ys):
+        np.matmul(weights, y, out=out)
+    active_y = sy >= 0.0
+    for i, dots in enumerate(np.vecdot(xs[:, None, :], ys[None, :, :])):
+        sx = sy[i] if xs is ys else weights @ xs[i]
+        yield (dots[:, None] + sx * sy) * (active_y & (sx >= 0.0))
+
+
+def kernel_matrix(xs: np.ndarray, ys: np.ndarray, mode: KernelMode) -> np.ndarray:
+    """Kernel values between every row of xs (m, d+1) and of ys (n, d+1), shape (m, n).
+
+    Entry (i, j) equals `ntk(xs[i], ys[j], mode).value` bit for bit.
+    """
+    xs, ys = _row_pair(xs, ys)
+    if isinstance(mode, MonteCarlo):
+        means = [c.mean(axis=1) for c in _mc_integrand(xs, ys, mode.features.weights)]
+        return np.array(means).reshape(xs.shape[0], ys.shape[0])
+    return _arc_cosine(xs, ys)
+
+
+def _estimate(contribs: np.ndarray) -> KernelEstimate:
+    k = contribs.size
+    se = float(contribs.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0
+    return KernelEstimate(value=float(contribs.mean()), std_error=se)
 
 
 def ntk(x: AugmentedPoint | np.ndarray, y: AugmentedPoint | np.ndarray, mode: KernelMode) -> KernelEstimate:
-    """Kernel value for a pair of augmented vectors under the requested mode."""
-    xa = _aug_coords(x)
-    ya = _aug_coords(y)
-    if xa.shape != ya.shape:
-        raise DimensionError(f"augmented shapes differ: {xa.shape} vs {ya.shape}")
+    """Kernel value for a pair of augmented vectors under the requested mode,
+    with the Monte Carlo standard error of the estimate."""
+    xs, ys = _row_pair(_aug_coords(x)[None], _aug_coords(y)[None])
     if isinstance(mode, MonteCarlo):
-        c = _mc_contribs(xa, ya, mode.features.weights)
-        k = c.size
-        se = float(c.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0
-        return KernelEstimate(value=float(c.mean()), std_error=se)
-    return KernelEstimate(value=_analytic_value(xa, ya))
+        return _estimate(next(_mc_integrand(xs, ys, mode.features.weights))[0])
+    return KernelEstimate(value=float(_arc_cosine(xs, ys)[0, 0]))
 
 
 def kappa(v: Direction, mode: KernelMode) -> KernelEstimate:
@@ -180,16 +242,10 @@ def kappa(v: Direction, mode: KernelMode) -> KernelEstimate:
     half-space carries probability 1/2 and contributes |v|^2/2 from each of the
     two integrand terms. The integrand is 2-homogeneous in v.
     """
-    vhat = v.augmented()
     if isinstance(mode, MonteCarlo):
-        w = mode.features.weights
-        if w.shape[1] != vhat.size:
-            raise DimensionError(f"feature dim {w.shape[1]} != direction dim {vhat.size}")
-        proj = w @ vhat
-        c = (vhat @ vhat + proj**2) * ((-proj) >= 0.0)
-        k = c.size
-        se = float(c.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0
-        return KernelEstimate(value=float(c.mean()), std_error=se)
+        # The kernel integrand at the pair (-v_hat, -v_hat).
+        lim = -v.augmented()[None]
+        return _estimate(next(_mc_integrand(lim, lim, mode.features.weights))[0])
     return KernelEstimate(value=float(v.norm**2))
 
 

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryTooClose, DimensionError, FeatureMismatch, InvalidRegularization
-from .geometry import Direction, Point, Realization, ShiftedTrainingSet, TargetFunction, augment, shift_set
+from .errors import BoundaryTooClose, DimensionError, FeatureMismatch, InvalidInput, InvalidRegularization
+from .geometry import Direction, Point, Realization, ShiftedTrainingSet, TargetFunction, shift_set
 from .gram import AlphaVector
-from .kernel import ANALYTIC, FeatureSample, KernelMode, ntk
+from .kernel import ANALYTIC, FeatureSample, KernelMode, kernel_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,24 +208,32 @@ class FeatureSpacePredictor:
 Predictor = PointWisePredictor | FeatureSpacePredictor
 
 
-def predict(pred: Predictor, x: Point) -> float:
-    """Evaluate a fitted predictor at a point.
+def predict(pred: Predictor, x: Point | np.ndarray) -> float | np.ndarray:
+    """Evaluate a fitted predictor at a point, or at every row of an (m, d) array.
 
-    Both forms share the 1/K Monte Carlo normalization, so built from one
-    feature sample they agree up to float reassociation rather than up to
-    sampling noise.
+    A `Point` gives a float and an array gives an (m,) array whose entries
+    equal the per-point values bit for bit. Both forms share the 1/K Monte
+    Carlo normalization, so built from one feature sample they agree up to
+    float reassociation rather than up to sampling noise.
     """
-    xa = augment(x).coords
+    xs = x.coords[None, :] if isinstance(x, Point) else np.asarray(x, dtype=np.float64)
+    if xs.ndim != 2:
+        raise DimensionError(f"points must be a Point or an (m, d) array, got shape {xs.shape}")
+    if not np.all(np.isfinite(xs)):
+        raise InvalidInput("evaluation points contain non-finite entries")
+    xa = np.hstack([xs, np.ones((xs.shape[0], 1))])
     if isinstance(pred, PointWisePredictor):
         a = pred.training.augmented
-        if xa.size != a.shape[1]:
-            raise DimensionError(f"point dim {xa.size - 1} != training dim {a.shape[1] - 1}")
-        row = np.array([ntk(xa, a[i], pred.mode).value for i in range(a.shape[0])])
-        return float(row @ pred.alpha.values)
-    fs = pred.beta.features
-    if xa.size != fs.dim + 1:
-        raise DimensionError(f"point dim {xa.size - 1} != feature dim {fs.dim}")
-    s = fs.weights @ xa
-    act = s >= 0.0
-    vals = (pred.beta.beta1 @ xa + pred.beta.beta2 * s) * act
-    return float(vals.mean())
+        if xa.shape[1] != a.shape[1]:
+            raise DimensionError(f"point dim {xa.shape[1] - 1} != training dim {a.shape[1] - 1}")
+        # vecdot reduces each kernel row like the 1-D dot of a single point.
+        vals = np.vecdot(kernel_matrix(xa, a, pred.mode), pred.alpha.values)
+    else:
+        fs = pred.beta.features
+        if xa.shape[1] != fs.dim + 1:
+            raise DimensionError(f"point dim {xa.shape[1] - 1} != feature dim {fs.dim}")
+        vals = np.empty(xa.shape[0])
+        for i, row in enumerate(xa):
+            s = fs.weights @ row
+            vals[i] = ((pred.beta.beta1 @ row + pred.beta.beta2 * s) * (s >= 0.0)).mean()
+    return float(vals[0]) if isinstance(x, Point) else vals

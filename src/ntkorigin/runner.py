@@ -174,7 +174,7 @@ def run_theorem1(cfg: dict) -> RunResult:
             out = []
             for name, vdir, is_orth in directions:
                 prof = calculus.fit_profile(
-                    lambda p: regression.predict(predictor, p), origin, vdir, radius, m, degmax
+                    lambda xs: regression.predict(predictor, xs), origin, vdir, radius, m, degmax
                 )
                 cls = calculus.classify(prof)
                 out.append([
@@ -186,12 +186,10 @@ def run_theorem1(cfg: dict) -> RunResult:
                 beta = regression.beta_from_alpha(ts, alpha, fs)
                 fsp = regression.FeatureSpacePredictor(beta=beta)
                 eq_rng = np.random.default_rng(eq_rng_seed)
-                dev = 0.0
-                for _ in range(int(cfg.get("equivalence_points", 0))):
-                    x = Point(eq_rng.uniform(-2.0, 2.0, int(cfg["d"])))
-                    fp = regression.predict(predictor, x)
-                    ff = regression.predict(fsp, x)
-                    dev = max(dev, abs(fp - ff) / (1.0 + abs(fp)))
+                xs = eq_rng.uniform(-2.0, 2.0, (int(cfg.get("equivalence_points", 0)), int(cfg["d"])))
+                fp = regression.predict(predictor, xs)
+                ff = regression.predict(fsp, xs)
+                dev = float(np.max(np.abs(fp - ff) / (1.0 + np.abs(fp)), initial=0.0))
                 out.append([
                     cfg["name"], t, delta, "equivalence", False, "ok",
                     None, None, None, None, None, None, None, None,
@@ -238,7 +236,7 @@ def run_farfield(cfg: dict) -> RunResult:
         def cell_rows() -> list[list]:
             base = Point(center * vdir.coords)
             prof = calculus.fit_profile(
-                lambda p: regression.predict(predictor, p), base, vdir, radius, m, degmax
+                lambda xs: regression.predict(predictor, xs), base, vdir, radius, m, degmax
             )
             cls = calculus.classify(prof)
             mags = np.abs(prof.normalized)
@@ -267,7 +265,8 @@ def run_gram_limit(cfg: dict) -> RunResult:
     phi = realization_from_config(cfg, rng)
     g = target_from_config(cfg["target"])
     v_phi = Direction(np.asarray(cfg["v_phi"], dtype=float))
-    fseed = int(cfg.get("features_seed") or int(cfg["seed"]) + 1)
+    fseed = cfg.get("features_seed")
+    fseed = int(cfg["seed"]) + 1 if fseed is None else int(fseed)
     fs = kernel.sample_features(int(cfg["d"]), int(cfg["k_features"]), fseed)
     fs_kappa = kernel.sample_features(int(cfg["d"]), int(cfg["kappa_mc_features"]), int(cfg["seed"]) + 2)
     kap_ana = v_phi.norm**2

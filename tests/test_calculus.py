@@ -134,37 +134,60 @@ class TestDirectionalDerivative:
 
 class TestFitProfile:
     def test_exact_quadratic_recovery(self):
-        f = lambda p: 1.0 + 2.0 * p.coords[0] + 3.0 * p.coords[0] ** 2
+        f = lambda xs: 1.0 + 2.0 * xs[:, 0] + 3.0 * xs[:, 0] ** 2
         prof = fit_profile(f, Point([0.0]), Direction([1.0]), radius=0.5, m=21, degmax=4)
         np.testing.assert_allclose(prof.coefficients, [1.0, 2.0, 3.0, 0.0, 0.0], atol=1e-10)
         assert prof.residual < 1e-12
 
     def test_constant_function(self):
-        prof = fit_profile(lambda p: 7.0, Point([0.0, 0.0]), Direction([1.0, 0.0]), 1.0, 11, 2)
+        prof = fit_profile(lambda xs: np.full(len(xs), 7.0), Point([0.0, 0.0]), Direction([1.0, 0.0]), 1.0, 11, 2)
         np.testing.assert_allclose(prof.coefficients, [7.0, 0.0, 0.0], atol=1e-12)
 
     def test_planted_random_polynomials(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
             coeffs = rng.uniform(-2, 2, 5)
-            f = lambda p, c=coeffs: float(np.polyval(c[::-1], p.coords[0]))
+            f = lambda xs, c=coeffs: np.polyval(c[::-1], xs[:, 0])
             prof = fit_profile(f, Point([0.0]), Direction([1.0]), radius=0.7, m=31, degmax=4)
             np.testing.assert_allclose(prof.coefficients, coeffs, atol=1e-10)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(InvalidInput):
-            fit_profile(lambda p: 0.0, Point([0.0]), Direction([1.0]), 1.0, m=5, degmax=4)
+            fit_profile(lambda xs: np.zeros(len(xs)), Point([0.0]), Direction([1.0]), 1.0, m=5, degmax=4)
 
     def test_offsets_symmetric(self):
-        prof = fit_profile(lambda p: 0.0, Point([0.0]), Direction([1.0]), 0.3, 9, 2)
+        prof = fit_profile(lambda xs: np.zeros(len(xs)), Point([0.0]), Direction([1.0]), 0.3, 9, 2)
         np.testing.assert_allclose(prof.offsets, -prof.offsets[::-1], atol=0)
+
+    def test_one_call_on_the_stencil_rows(self):
+        calls = []
+
+        def f(xs):
+            calls.append(xs.copy())
+            return xs[:, 0] - xs[:, 1]
+
+        base, v = Point([1.0, 2.0]), Direction([0.6, 0.8])
+        prof = fit_profile(f, base, v, 0.5, 9, 2)
+        assert len(calls) == 1
+        assert calls[0].shape == (9, 2)
+        for s, row in zip(prof.offsets, calls[0]):
+            assert np.array_equal(row, base.coords + s * v.coords)
+
+    def test_non_finite_value_rejected(self):
+        f = lambda xs: np.where(xs[:, 0] > 0.2, np.nan, 0.0)
+        with pytest.raises(EvaluationError, match="nan"):
+            fit_profile(f, Point([0.0]), Direction([1.0]), 0.5, 9, 2)
+
+    def test_wrong_value_count_rejected(self):
+        with pytest.raises(EvaluationError):
+            fit_profile(lambda xs: np.zeros(3), Point([0.0]), Direction([1.0]), 0.5, 9, 2)
 
 
 class TestClassify:
     @staticmethod
     def _profile_with(coeffs, radius=1.0):
         c = np.asarray(coeffs, dtype=float)
-        f = lambda p: float(np.polyval(c[::-1], p.coords[0]))
+        f = lambda xs: np.polyval(c[::-1], xs[:, 0])
         return fit_profile(f, Point([0.0]), Direction([1.0]), radius, m=4 * len(c), degmax=len(c) - 1)
 
     def test_quadratic_with_trace_cubic(self):

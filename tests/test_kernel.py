@@ -6,11 +6,15 @@ estimator before anything downstream gets to rely on it.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ntkorigin import (
     ANALYTIC,
     DegenerateDirection,
+    DimensionError,
     Direction,
+    FeatureSample,
     InvalidInput,
     MonteCarlo,
     Point,
@@ -21,6 +25,7 @@ from ntkorigin import (
     feature_map,
     indicator,
     kappa,
+    kernel_matrix,
     limit_indicator,
     ntk,
     sample_features,
@@ -44,6 +49,15 @@ class TestSampleFeatures:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput):
             sample_features(3, 0, seed=0)
+
+    def test_same_sample_compares_weights_not_seed_labels(self):
+        a = sample_features(2, 4, seed=7)
+        assert a.same_sample(sample_features(2, 4, seed=7))
+        assert a.same_sample(FeatureSample(weights=a.weights.copy(), seed=99))
+        other = a.weights.copy()
+        other[3, 2] = np.nextafter(other[3, 2], np.inf)
+        assert not a.same_sample(FeatureSample(weights=other, seed=7))
+        assert not a.same_sample(FeatureSample(weights=a.weights.reshape(3, 4), seed=7))
 
 
 class TestIndicator:
@@ -202,6 +216,81 @@ class TestKappa:
         shifted[:, -1] += 3.7
         fs_shifted = type(fs)(weights=shifted, seed=fs.seed)
         assert kappa(v, MonteCarlo(fs)).value == kappa(v, MonteCarlo(fs_shifted)).value
+
+
+def _reference_analytic(xa, ya):
+    """The scalar closed form, one pair at a time, as the batched code must reproduce it."""
+    dot = np.dot(xa, ya)
+    nx = float(np.linalg.norm(xa))
+    ny = float(np.linalg.norm(ya))
+    half_chord = float(np.linalg.norm(xa / nx - ya / ny)) / 2.0
+    theta = 2.0 * np.arcsin(min(1.0, half_chord))
+    cos = min(1.0, max(-1.0, dot / (nx * ny)))
+    return float((dot * (np.pi - theta) + nx * ny * ((np.pi - theta) * cos + np.sin(theta))) / (2.0 * np.pi))
+
+
+def _reference_mc(xa, ya, weights):
+    """The scalar Monte Carlo estimate of one pair."""
+    sx = weights @ xa
+    sy = weights @ ya
+    return float(((np.dot(xa, ya) + sx * sy) * ((sx >= 0.0) & (sy >= 0.0))).mean())
+
+
+def _augmented_rows(rng, count, d, shift):
+    return np.hstack([rng.uniform(-3.0, 3.0, (count, d)) - shift, np.ones((count, 1))])
+
+
+class TestKernelMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 4),
+        m=st.integers(1, 6),
+        n=st.integers(1, 6),
+        t=st.floats(0.0, 1e4),
+        k=st.integers(1, 400),
+    )
+    def test_equals_per_pair_ntk_exactly(self, seed, d, m, n, t, k):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(d)
+        xs = _augmented_rows(rng, m, d, 0.0)
+        ys = _augmented_rows(rng, n, d, t * v)
+        fs = sample_features(d, k, seed=seed)
+        for mode in (ANALYTIC, MonteCarlo(fs)):
+            for a, b in ((xs, ys), (ys, ys)):
+                got = kernel_matrix(a, b, mode)
+                assert got.shape == (len(a), len(b))
+                for i in range(len(a)):
+                    for j in range(len(b)):
+                        assert got[i, j] == ntk(a[i], b[j], mode).value
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), t=st.floats(0.0, 1e4))
+    def test_reproduces_scalar_reference_bit_for_bit(self, seed, d, t):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(d)
+        xs = _augmented_rows(rng, 4, d, 0.0)
+        ys = _augmented_rows(rng, 5, d, t * v)
+        fs = sample_features(d, 257, seed=seed)
+        ana = kernel_matrix(xs, ys, ANALYTIC)
+        mc = kernel_matrix(xs, ys, MonteCarlo(fs))
+        for i in range(4):
+            for j in range(5):
+                assert ana[i, j] == _reference_analytic(xs[i], ys[j])
+                assert mc[i, j] == _reference_mc(xs[i], ys[j], fs.weights)
+
+    def test_mc_feature_dimension_checked(self):
+        rows = np.array([[0.5, 1.0]])
+        with pytest.raises(DimensionError):
+            kernel_matrix(rows, rows, MonteCarlo(sample_features(2, 10, seed=1)))
+
+    def test_rejects_mismatched_or_flat_input(self):
+        with pytest.raises(DimensionError):
+            kernel_matrix(np.ones((2, 3)), np.ones((2, 2)), ANALYTIC)
+        with pytest.raises(DimensionError):
+            kernel_matrix(np.ones(3), np.ones((2, 3)), ANALYTIC)
+        with pytest.raises(InvalidInput):
+            kernel_matrix(np.array([[np.inf, 1.0]]), np.ones((1, 2)), ANALYTIC)
 
 
 class TestAgnosticismRate:

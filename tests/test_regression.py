@@ -9,6 +9,7 @@ from ntkorigin import (
     ANALYTIC,
     AlphaVector,
     BoundaryTooClose,
+    DimensionError,
     Direction,
     FeatureMismatch,
     FeatureSample,
@@ -77,6 +78,24 @@ class TestBetaFromAlpha:
         alpha = tikhonov_solve(km, TikhonovConfig(delta=1e-8, mode="relative"), ts.labels)
         with pytest.raises(FeatureMismatch):
             beta_from_alpha(ts, alpha, fs_b)
+
+    def test_same_seed_different_weights_rejected(self):
+        ts, *_ = _training_set()
+        fs_a = sample_features(2, 8, seed=1)
+        fs_b = FeatureSample(weights=-fs_a.weights, seed=1)
+        km = assemble_gram(ts, MonteCarlo(fs_a))
+        alpha = tikhonov_solve(km, TikhonovConfig(delta=1e-8, mode="relative"), ts.labels)
+        with pytest.raises(FeatureMismatch):
+            beta_from_alpha(ts, alpha, fs_b)
+
+    def test_copied_weights_accepted(self):
+        ts, *_ = _training_set()
+        fs_a = sample_features(2, 8, seed=1)
+        fs_b = FeatureSample(weights=fs_a.weights.copy(), seed=1)
+        km = assemble_gram(ts, MonteCarlo(fs_a))
+        alpha = tikhonov_solve(km, TikhonovConfig(delta=1e-8, mode="relative"), ts.labels)
+        via_copy = beta_from_alpha(ts, alpha, fs_b)
+        assert np.array_equal(via_copy.beta2, beta_from_alpha(ts, alpha, fs_a).beta2)
 
 
 class TestBetaClosedForm:
@@ -153,6 +172,52 @@ class TestPredict:
             a = predict(pw, x)
             b = predict(fsp, x)
             assert abs(a - b) <= 1e-9 * (1.0 + abs(a))
+
+
+class TestBatchedPredict:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        m=st.integers(1, 8),
+        t=st.floats(0.0, 1e4),
+        k=st.integers(1, 300),
+    )
+    def test_batched_equals_per_point(self, seed, n, m, t, k):
+        rng = np.random.default_rng(seed)
+        phi = Realization(tuple(Point(r) for r in rng.uniform(-1, 1, (n, 2))))
+        ts = shift_set(phi, Direction(rng.standard_normal(2)), t, SinusoidalTarget(u=[1.3, -0.7], phase=0.4))
+        alpha = AlphaVector(values=rng.standard_normal(n), delta=1.0)
+        fs = sample_features(2, k, seed=seed)
+        xs = rng.uniform(-3, 3, (m, 2))
+        predictors = [
+            PointWisePredictor(training=ts, alpha=alpha, mode=ANALYTIC),
+            PointWisePredictor(training=ts, alpha=alpha, mode=MonteCarlo(fs)),
+            FeatureSpacePredictor(beta=beta_from_alpha(ts, alpha, fs)),
+        ]
+        for pred in predictors:
+            batch = predict(pred, xs)
+            assert batch.shape == (m,)
+            for i in range(m):
+                assert batch[i] == predict(pred, Point(xs[i]))
+
+    def test_point_gives_float(self):
+        ts, *_ = _training_set()
+        pred = PointWisePredictor(training=ts, alpha=AlphaVector(values=np.ones(ts.n), delta=1.0))
+        assert isinstance(predict(pred, Point([0.1, 0.2])), float)
+
+    def test_rejects_flat_or_wrong_width_arrays(self):
+        ts, *_ = _training_set()
+        fs = sample_features(2, 16, seed=4)
+        alpha = AlphaVector(values=np.ones(ts.n), delta=1.0)
+        for pred in (
+            PointWisePredictor(training=ts, alpha=alpha),
+            FeatureSpacePredictor(beta=beta_from_alpha(ts, alpha, fs)),
+        ):
+            with pytest.raises(DimensionError):
+                predict(pred, np.array([0.1, 0.2]))
+            with pytest.raises(DimensionError):
+                predict(pred, np.zeros((3, 3)))
 
 
 class TestBiasSensitivity:

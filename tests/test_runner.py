@@ -2,11 +2,22 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from ntkorigin import Direction, agnosticism_rate, sample_features, shift_set
 from ntkorigin.cli import main
 from ntkorigin.configs import DEFAULTS, default_config
-from ntkorigin.runner import RUNNERS, load_config, render_csv, run_farfield, run_theorem1, write_csv
+from ntkorigin.runner import (
+    RUNNERS,
+    load_config,
+    realization_from_config,
+    render_csv,
+    run_farfield,
+    run_theorem1,
+    target_from_config,
+    write_csv,
+)
 
 
 def small_theorem1(**overrides):
@@ -168,3 +179,17 @@ class TestSweepScience:
         skipped = [r for r in res.rows if r[idx["status"]] == "skipped:degenerate"]
         assert len(skipped) == 4  # identity+alpha for both delta modes
         assert res.failures == 0
+
+    @pytest.mark.parametrize("features_seed, expected_seed", [(0, 0), (None, 12), (5, 5)])
+    def test_gram_limit_features_seed(self, features_seed, expected_seed):
+        # A features_seed of 0 is a seed like any other; only a missing one
+        # falls back to seed + 1.
+        cfg = default_config("gram-limit")
+        cfg.update({"seed": 11, "features_seed": features_seed, "k_features": 2000,
+                    "kappa_mc_features": 1000, "t_list": [3.0]})
+        res = RUNNERS["gram-limit"](cfg)
+        idx = {h: i for i, h in enumerate(res.header)}
+        phi = realization_from_config(cfg, np.random.default_rng(11))
+        ts = shift_set(phi, Direction(cfg["v_phi"]), 3.0, target_from_config(cfg["target"]))
+        expected = agnosticism_rate(ts, sample_features(2, 2000, expected_seed))
+        assert res.rows[0][idx["agnosticism_rate"]] == expected
