@@ -50,12 +50,12 @@ from .kernel import (
     limit_indicator,
     ntk,
     sample_features,
+    streamed_diagonal,
 )
 from .gram import (
     AlphaVector,
     GramMatrix,
     TikhonovConfig,
-    DEFAULT_TIKHONOV,
     assemble_gram,
     asymptotic_alpha,
     asymptotic_gram,
@@ -93,7 +93,6 @@ from .mlp import (
     MLPModel,
     evaluate,
     evaluate_batch,
-    export_loss_trace,
     init_features,
     init_model,
     parameter_displacement,

@@ -4,7 +4,8 @@ One subcommand per experiment family. Config comes from a packaged default,
 optionally overlaid with a JSON file; --seed and --threads override the
 corresponding config fields. The CSV goes to --out (default: <scenario>.csv in
 the working directory). Exit code 0 means every cell succeeded, 2 means at
-least one cell failed, 1 means the configuration was rejected.
+least one row failed (a failed cell or a failed check), 1 means the
+configuration was rejected.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def main(argv=None) -> int:
     write_csv(result.header, result.rows, out)
     elapsed = time.perf_counter() - started
     print(
-        f"{args.subcommand}: {len(result.rows)} rows, {result.failures} failed cells, "
+        f"{args.subcommand}: {len(result.rows)} rows, {result.failures} failed rows, "
         f"{elapsed:.2f}s -> {out}",
         file=sys.stderr,
     )

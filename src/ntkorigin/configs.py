@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import copy
 
+from .errors import ConfigError
+
 _THEOREM1 = {
     "name": "theorem1-default",
     "seed": 11,
@@ -142,3 +144,28 @@ def default_config(subcommand: str) -> dict:
     if subcommand not in DEFAULTS:
         raise KeyError(f"no default config for {subcommand!r}")
     return copy.deepcopy(DEFAULTS[subcommand])
+
+
+def overlay_config(subcommand: str, user: dict) -> dict:
+    """The default config of `subcommand` with `user` laid over it.
+
+    A top-level key the default lacks is rejected, so a misspelled key cannot
+    leave the default silently in force. Nested dicts are merged key by key,
+    so a partial nested overlay keeps the default's other fields.
+    """
+    if not isinstance(user, dict):
+        raise ConfigError("config root must be a JSON object")
+    cfg = default_config(subcommand)
+    unknown = sorted(set(user) - set(cfg))
+    if unknown:
+        raise ConfigError(f"unknown {subcommand} config keys {unknown}; see --print-config")
+    _merge(cfg, user)
+    return cfg
+
+
+def _merge(base: dict, user: dict) -> None:
+    for key, value in user.items():
+        if isinstance(value, dict) and isinstance(base.get(key), dict):
+            _merge(base[key], value)
+        else:
+            base[key] = value

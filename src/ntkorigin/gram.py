@@ -63,12 +63,6 @@ class GramMatrix:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.entries)[0])
 
-    def dump_csv(self, path) -> None:
-        """Row-major plain-text dump with 17 significant digits."""
-        with open(path, "w") as fh:
-            for row in self.entries:
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-
 
 @dataclass(frozen=True)
 class TikhonovConfig:
@@ -88,9 +82,6 @@ class TikhonovConfig:
         if self.mode == "absolute":
             return float(self.delta)
         return float(self.delta) * gram.mean_diagonal
-
-
-DEFAULT_TIKHONOV = TikhonovConfig(delta=1e-8, mode="relative")
 
 
 @dataclass(frozen=True, eq=False)

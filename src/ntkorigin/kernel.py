@@ -17,7 +17,9 @@ relies on it.
 
 `kernel_matrix` evaluates either mode for every pair drawn from two stacks of
 augmented rows and is what gram assembly and the predictors call; `ntk` is the
-same computation for a single pair, with the Monte Carlo standard error.
+same computation for a single pair, with the Monte Carlo standard error, and
+`streamed_diagonal` is the Monte Carlo diagonal k(x, x) over features drawn
+chunk by chunk.
 
 Ties follow the ">= 0" convention: an exactly-zero pre-activation indicates 1.
 """
@@ -232,6 +234,26 @@ def ntk(x: AugmentedPoint | np.ndarray, y: AugmentedPoint | np.ndarray, mode: Ke
     if isinstance(mode, MonteCarlo):
         return _estimate(next(_mc_integrand(xs, ys, mode.features.weights))[0])
     return KernelEstimate(value=float(_arc_cosine(xs, ys)[0, 0]))
+
+
+def streamed_diagonal(x: AugmentedPoint | np.ndarray, count: int, chunk: int, seed: int) -> float:
+    """Monte Carlo estimate of k(x, x) over `count` features drawn from
+    `default_rng(seed)` in chunks of at most `chunk` rows.
+
+    Only one chunk of weights is held at a time, so the feature count is
+    bounded by time rather than memory. With a single chunk the draws, and the
+    value, equal `ntk(x, x, MonteCarlo(sample_features(d, count, seed)))`.
+    """
+    if count < 1 or chunk < 1:
+        raise InvalidInput(f"feature count and chunk must be >= 1, got {count} and {chunk}")
+    row = _aug_coords(x)[None]
+    xs, _ = _row_pair(row, row)
+    gen = np.random.default_rng(seed)
+    total = 0.0
+    for start in range(0, count, chunk):
+        weights = gen.standard_normal((min(chunk, count - start), xs.shape[1]))
+        total += float(next(_mc_integrand(xs, xs, weights))[0].sum())
+    return total / count
 
 
 def kappa(v: Direction, mode: KernelMode) -> KernelEstimate:

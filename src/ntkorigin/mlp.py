@@ -31,7 +31,6 @@ class MLPConfig:
     steps: int = 20000
     lr: float | None = None
     seed: int = 0
-    train_both_layers: bool = True
 
     def __post_init__(self):
         if self.width < 1:
@@ -151,11 +150,10 @@ def train(
         relu = np.where(act, z, 0.0)
         resid = relu @ out / sq - y
         grad_out = relu.T @ resid / sq
-        out_next = out - lr * grad_out
-        if cfg.train_both_layers:
-            grad_hidden = ((act * resid[:, None]) * out[None, :]).T @ a_in / sq
-            hidden = hidden - lr * grad_hidden
-        out = out_next
+        # Both gradients are taken at the pre-step parameters.
+        grad_hidden = ((act * resid[:, None]) * out[None, :]).T @ a_in / sq
+        hidden = hidden - lr * grad_hidden
+        out = out - lr * grad_out
         loss = 0.5 * float(np.sum((np.maximum(a_in @ hidden.T, 0.0) @ out / sq - y) ** 2))
         losses[step + 1] = loss
         if not np.isfinite(loss):
@@ -176,11 +174,3 @@ def parameter_displacement(before: MLPModel, after: MLPModel) -> float:
     )
     den = np.sqrt(np.sum(before.hidden**2) + np.sum(before.output**2))
     return float(num / den)
-
-
-def export_loss_trace(losses: np.ndarray, path) -> None:
-    """Write (step, loss) rows as CSV with 17 significant digits."""
-    with open(path, "w") as fh:
-        fh.write("step,loss\n")
-        for i, v in enumerate(np.asarray(losses, dtype=np.float64)):
-            fh.write(f"{i},{v:.17g}\n")

@@ -70,12 +70,6 @@ class TestAssembleGram:
         trace = float(np.trace(km.entries))
         assert km.min_eigenvalue() >= -1e-8 * trace / km.n
 
-    def test_dump_csv(self, tmp_path):
-        km = asymptotic_gram(2, 1.0, 3.0)
-        path = tmp_path / "gram.csv"
-        km.dump_csv(path)
-        assert path.read_text() == "9,9\n9,9\n"
-
 
 class TestAsymptoticGram:
     def test_constant_entries(self):

@@ -30,6 +30,7 @@ from ntkorigin import (
     ntk,
     sample_features,
     shift_set,
+    streamed_diagonal,
 )
 
 
@@ -291,6 +292,43 @@ class TestKernelMatrix:
             kernel_matrix(np.ones(3), np.ones((2, 3)), ANALYTIC)
         with pytest.raises(InvalidInput):
             kernel_matrix(np.array([[np.inf, 1.0]]), np.ones((1, 2)), ANALYTIC)
+
+
+def _reference_diagonal(xa, count, chunk, seed):
+    """The chunked diagonal loop the kappa sweep ran inline before `streamed_diagonal`."""
+    total = 0.0
+    n = 0
+    gen = np.random.default_rng(seed)
+    remaining = count
+    while remaining > 0:
+        take = min(chunk, remaining)
+        w = gen.standard_normal((take, xa.size))
+        s = w @ xa
+        total += float((((xa @ xa) + s * s) * (s >= 0.0)).sum())
+        n += take
+        remaining -= take
+    return total / n
+
+
+class TestStreamedDiagonal:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), k=st.integers(1, 3000), spare=st.integers(0, 5))
+    def test_one_chunk_equals_ntk_bit_for_bit(self, seed, d, k, spare):
+        x = augment(np.random.default_rng(seed).uniform(-2.0, 2.0, d))
+        want = ntk(x, x, MonteCarlo(sample_features(d, k, seed))).value
+        assert streamed_diagonal(x, k, k + spare, seed) == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), k=st.integers(1, 3000), chunk=st.integers(1, 700))
+    def test_chunks_equal_reference_loop_bit_for_bit(self, seed, d, k, chunk):
+        x = augment(np.random.default_rng(seed).uniform(-2.0, 2.0, d))
+        assert streamed_diagonal(x, k, chunk, seed) == _reference_diagonal(x.coords, k, chunk, seed)
+
+    def test_rejects_empty_count_or_chunk(self):
+        x = augment([0.5])
+        for count, chunk in ((0, 10), (10, 0)):
+            with pytest.raises(InvalidInput):
+                streamed_diagonal(x, count, chunk, seed=1)
 
 
 class TestAgnosticismRate:

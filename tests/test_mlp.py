@@ -19,7 +19,6 @@ from ntkorigin import (
     assemble_gram,
     evaluate,
     evaluate_batch,
-    export_loss_trace,
     init_features,
     init_model,
     parameter_displacement,
@@ -116,17 +115,6 @@ class TestTrain:
         model = init_model(cfg, d=2)
         with pytest.raises(DivergenceError):
             train(model, ts, cfg)
-
-    def test_loss_trace_export(self, tmp_path):
-        ts = self._task(n=1)
-        cfg = MLPConfig(width=16, steps=3, seed=1)
-        model = init_model(cfg, d=2)
-        _, losses = train(model, ts, cfg)
-        path = tmp_path / "trace.csv"
-        export_loss_trace(losses, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "step,loss"
-        assert len(lines) == losses.size + 1
 
 
 class TestLazyRegime:

@@ -1,11 +1,12 @@
 """Sweep orchestration: configs, determinism, cell isolation, CLI contract."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from ntkorigin import Direction, agnosticism_rate, sample_features, shift_set
+from ntkorigin import ConfigError, Direction, agnosticism_rate, calculus, sample_features, shift_set
 from ntkorigin.cli import main
 from ntkorigin.configs import DEFAULTS, default_config
 from ntkorigin.runner import (
@@ -20,12 +21,39 @@ from ntkorigin.runner import (
 )
 
 
-def small_theorem1(**overrides):
-    cfg = default_config("theorem1")
-    cfg.update({"t_list": [100.0], "n_directions": 2, "include_shift_direction": False,
-                "include_orthogonal": False, "profile_points": 11})
+# Small configs with at least two cells each; the kappa diagonal spans three
+# chunks, the last one partial.
+SMALL = {
+    "theorem1": {"t_list": [100.0, 1000.0], "n_directions": 2, "include_shift_direction": False,
+                 "include_orthogonal": False, "profile_points": 11},
+    "farfield": {"n_directions": 3},
+    "gram-limit": {"k_features": 2000, "kappa_mc_features": 1000},
+    "inverse-check": {"n_list": [1, 2], "kappa_list": [0.0, 1.0], "t_list": [10.0, 100.0], "sigma_instances": 5},
+    "kappa": {"pair_dims": [1, 2], "pairs_per_dim": 2, "k_features": 1000, "diag_points_per_dim": 1,
+              "diag_k_features": 2500, "diag_chunk": 1000, "kappa_directions": 2, "kappa_k_features": 1000},
+    "mlp-compare": {"widths": [16, 64], "max_steps": 200, "eval_points": 2},
+}
+
+# A config value per subcommand that makes at least one cell raise.
+FAILING = {
+    "theorem1": {"t_list": [100.0, -5.0]},
+    "farfield": {"degmax": 1},
+    "gram-limit": {"t_list": [100.0, -5.0]},
+    "inverse-check": {"stencil_max_order": "x"},
+    "kappa": {"k_features": 0},
+    "mlp-compare": {"widths": [0, 16]},
+}
+
+
+def small_config(sub, **overrides):
+    cfg = default_config(sub)
+    cfg.update(SMALL[sub])
     cfg.update(overrides)
     return cfg
+
+
+def small_theorem1(**overrides):
+    return small_config("theorem1", **{"t_list": [100.0], **overrides})
 
 
 class TestConfigs:
@@ -51,6 +79,27 @@ class TestConfigs:
         with pytest.raises(KeyError):
             default_config("nope")
 
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"t-list": [5.0]}))
+        with pytest.raises(ConfigError, match="t-list"):
+            load_config("theorem1", path)
+        assert main(["theorem1", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 1
+
+    def test_nested_overlay_merges_key_by_key(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"bias_sensitivity": {"probes": 5}}))
+        cfg = load_config("inverse-check", path)
+        assert cfg["bias_sensitivity"] == {**default_config("inverse-check")["bias_sensitivity"], "probes": 5}
+        assert main(["inverse-check", "--config", str(path), "--out", str(tmp_path / "i.csv")]) == 0
+
+    def test_target_missing_field_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError):
+            target_from_config({"kind": "linear"})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target": {"kind": "linear"}}))
+        assert main(["farfield", "--config", str(path), "--out", str(tmp_path / "f.csv")]) == 1
+
 
 class TestDeterminism:
     def test_theorem1_rerun_byte_identical(self):
@@ -59,10 +108,15 @@ class TestDeterminism:
         b = run_theorem1(cfg)
         assert a.csv() == b.csv()
 
-    def test_threads_do_not_change_output(self):
-        base = run_theorem1(small_theorem1(t_list=[100.0, 1000.0], threads=1))
-        threaded = run_theorem1(small_theorem1(t_list=[100.0, 1000.0], threads=4))
-        assert base.csv() == threaded.csv()
+    @pytest.mark.parametrize("sub", list(SMALL))
+    def test_threads_do_not_change_output(self, sub):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
+        try:
+            threaded = RUNNERS[sub](small_config(sub, threads=2))
+        finally:
+            sys.setswitchinterval(interval)
+        assert RUNNERS[sub](small_config(sub, threads=1)).csv() == threaded.csv()
 
     def test_farfield_rerun_byte_identical(self):
         cfg = default_config("farfield")
@@ -82,6 +136,24 @@ class TestCellIsolation:
         assert "ok" in statuses
         assert any(s.startswith("error:") for s in statuses)
         assert res.failures == 1
+
+    @pytest.mark.parametrize("sub", list(FAILING))
+    def test_stub_row_spans_the_header(self, sub):
+        res = RUNNERS[sub](small_config(sub, **FAILING[sub]))
+        status = res.header.index("status")
+        stubs = [row for row in res.rows if row[status].startswith("error:")]
+        assert stubs and res.failures == len(stubs)
+        for row in stubs:
+            assert len(row) == len(res.header)
+            assert all(v is None for v in row[status + 1:])
+
+    def test_failed_pascal_identity_counts_as_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(calculus, "pascal_shift_identity", lambda z: False)
+        res = RUNNERS["inverse-check"](small_config("inverse-check"))
+        assert res.failures == 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL["inverse-check"]))
+        assert main(["inverse-check", "--config", str(cfg), "--out", str(tmp_path / "i.csv")]) == 2
 
 
 class TestCli:
