@@ -151,7 +151,9 @@ def overlay_config(subcommand: str, user: dict) -> dict:
 
     A top-level key the default lacks is rejected, so a misspelled key cannot
     leave the default silently in force. Nested dicts are merged key by key,
-    so a partial nested overlay keeps the default's other fields.
+    so a partial nested overlay keeps the default's other fields, except that
+    a dict whose `kind` differs from the default's (a target of another kind)
+    replaces it whole, so no field of the old kind lingers.
     """
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
@@ -165,7 +167,9 @@ def overlay_config(subcommand: str, user: dict) -> dict:
 
 def _merge(base: dict, user: dict) -> None:
     for key, value in user.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _merge(base[key], value)
+        old = base.get(key)
+        mergeable = isinstance(value, dict) and isinstance(old, dict)
+        if mergeable and value.get("kind", old.get("kind")) == old.get("kind"):
+            _merge(old, value)
         else:
             base[key] = value

@@ -28,6 +28,19 @@ from .kernel import FeatureSample, KernelMode, MonteCarlo, kernel_matrix
 
 RESIDUAL_BOUND = 1e-8
 
+# The extended-precision paths need a long double with more mantissa than
+# float64 (80-bit on x86-64). Where it is only float64 they would lose their
+# margin silently, so they refuse to run instead.
+_LONGDOUBLE_IS_WIDER = bool(np.finfo(np.longdouble).eps < np.finfo(np.float64).eps)
+
+
+def _require_wide_longdouble(what: str) -> None:
+    if not _LONGDOUBLE_IS_WIDER:
+        raise NumericalFailure(
+            f"{what} needs a long double wider than float64; "
+            f"this platform's has eps {np.finfo(np.longdouble).eps:.3e}"
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
@@ -136,7 +149,8 @@ def sherman_morrison_inverse(
     The diagonal is evaluated as ((n-1) kappa t^2 + delta) / (delta (n kappa t^2 + delta)),
     which is the same quantity as 1/delta + off-diagonal but avoids the
     catastrophic cancellation of the naive difference when kappa t^2 >> delta.
-    Pass dtype=np.longdouble for identity-residual studies below float64 ulp.
+    Pass dtype=np.longdouble for identity-residual studies below float64 ulp;
+    that raises NumericalFailure where long double is no wider than float64.
     """
     if delta <= 0:
         raise InvalidRegularization(f"delta must be positive, got {delta}")
@@ -144,6 +158,8 @@ def sherman_morrison_inverse(
         raise DimensionError(f"n must be >= 1, got {n}")
     if kappa < 0 or t < 0:
         raise InvalidInput("kappa and t must be nonnegative")
+    if np.dtype(dtype).type is np.longdouble:
+        _require_wide_longdouble("sherman_morrison_inverse(dtype=np.longdouble)")
     one = dtype(1.0)
     kp, tt, dl, nn = dtype(kappa), dtype(t), dtype(delta), dtype(n)
     lead = kp * tt * tt
@@ -190,7 +206,8 @@ def tikhonov_solve(
     on the badly conditioned rank-one-plus-delta systems of the far-shift
     limit. With extended=True the whole solve runs in long double so that delta
     is not absorbed into the diagonal's float64 ulp; use it when validating
-    closed forms at tolerances near 1e-8.
+    closed forms at tolerances near 1e-8. It raises NumericalFailure where
+    long double is no wider than float64.
     """
     y = np.asarray(labels, dtype=np.float64)
     if y.ndim != 1 or y.size != gram.n:
@@ -199,6 +216,7 @@ def tikhonov_solve(
     ynorm = float(np.linalg.norm(y))
 
     if extended:
+        _require_wide_longdouble("tikhonov_solve(extended=True)")
         g_ld = gram.entries.astype(np.longdouble) + np.longdouble(delta) * np.eye(gram.n, dtype=np.longdouble)
         alpha_ld = _cholesky_solve_longdouble(g_ld, y)
         resid = float(np.linalg.norm((g_ld @ alpha_ld - y.astype(np.longdouble)).astype(np.float64)))

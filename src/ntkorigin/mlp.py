@@ -119,6 +119,11 @@ def train(
     Returns the trained snapshot and the loss trace (one entry per step plus
     the initial loss). Aborts with DivergenceError if the loss exceeds ten
     times its initial value, and with NaNError on non-finite loss.
+
+    Each step runs one forward pass: the pass that scores a step's loss also
+    yields the pre-activations and residual that the next step's gradients
+    need. Every value matches the two-pass form (a forward pass at the top of
+    each step and another to score it) bit for bit.
     """
     if ts.dim != model.dim:
         raise DimensionError(f"training dim {ts.dim} != model dim {model.dim}")
@@ -128,33 +133,40 @@ def train(
 
     hidden = model.hidden.copy()
     out = model.output.copy()
+    z = a_in @ hidden.T
+    relu = np.maximum(z, 0.0)
+    resid = relu @ out / sq - y
 
     if cfg.lr is None:
         # Mean diagonal of the init-time tangent gram: per input i, the mean
         # over features of (|x_i|^2 + <w_k, x_i>^2) 1(<w_k, x_i> >= 0).
-        z0 = a_in @ hidden.T
-        contrib = ((a_in * a_in).sum(axis=1)[:, None] + z0**2) * (z0 >= 0.0)
+        contrib = ((a_in * a_in).sum(axis=1)[:, None] + z**2) * (z >= 0.0)
         lr = 0.1 / float(contrib.mean(axis=1).mean())
     else:
         lr = cfg.lr
 
     losses = np.empty(cfg.steps + 1)
-    f = np.maximum(a_in @ hidden.T, 0.0) @ out / sq
-    loss0 = 0.5 * float(np.sum((f - y) ** 2))
+    loss0 = 0.5 * float(np.sum(resid**2))
     losses[0] = loss0
     abort_at = 10.0 * loss0 if loss0 > 0 else np.inf
 
+    masked = np.empty_like(z)
+    grad_hidden = np.empty_like(hidden)
     for step in range(cfg.steps):
-        z = a_in @ hidden.T
-        act = z >= 0.0
-        relu = np.where(act, z, 0.0)
-        resid = relu @ out / sq - y
-        grad_out = relu.T @ resid / sq
         # Both gradients are taken at the pre-step parameters.
-        grad_hidden = ((act * resid[:, None]) * out[None, :]).T @ a_in / sq
-        hidden = hidden - lr * grad_hidden
-        out = out - lr * grad_out
-        loss = 0.5 * float(np.sum((np.maximum(a_in @ hidden.T, 0.0) @ out / sq - y) ** 2))
+        grad_out = relu.T @ resid / sq
+        np.multiply.outer(resid, out, out=masked)
+        masked *= z >= 0.0
+        np.matmul(masked.T, a_in, out=grad_hidden)
+        grad_hidden /= sq
+        grad_hidden *= lr
+        hidden -= grad_hidden
+        grad_out *= lr
+        out -= grad_out
+        np.matmul(a_in, hidden.T, out=z)
+        np.maximum(z, 0.0, out=relu)
+        resid = relu @ out / sq - y
+        loss = 0.5 * float(np.sum(resid**2))
         losses[step + 1] = loss
         if not np.isfinite(loss):
             raise NaNError(f"loss became non-finite at step {step + 1}")

@@ -83,10 +83,12 @@ def target_from_config(spec: dict) -> TargetFunction:
 
 
 def delta_from_config(spec: dict) -> gram.TikhonovConfig:
+    """A delta spec as a TikhonovConfig; a missing field, a non-numeric or
+    non-positive value or an unknown mode is a ConfigError."""
     try:
         return gram.TikhonovConfig(delta=float(spec["value"]), mode=spec["mode"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed delta spec {spec!r}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed delta spec {spec!r}: {exc}") from exc
 
 
 def realization_from_config(cfg: dict, rng: np.random.Generator) -> Realization:
@@ -332,13 +334,16 @@ def run_inverse_check(cfg: dict) -> RunResult:
         dev = float(np.abs(closed.values - solved.values).max()) / scale if scale else 0.0
         return [[*key, "ok", dev, None]]
 
+    lem = cfg["bias_sensitivity"]
+    lem_delta = delta_from_config(lem["delta"])
+    delta_list = [delta_from_config(spec) for spec in cfg["delta_list"]]
     cells: list[Cell] = []
-    for n, kap, t, dspec in product(cfg["n_list"], cfg["kappa_list"], cfg["t_list"], cfg["delta_list"]):
+    for n, kap, t, dcfg in product(cfg["n_list"], cfg["kappa_list"], cfg["t_list"], delta_list):
         mean_diag = float(kap) * float(t) ** 2
-        delta = float(dspec["value"]) * (mean_diag if dspec["mode"] == "relative" else 1.0)
+        delta = dcfg.delta * (mean_diag if dcfg.mode == "relative" else 1.0)
         labels = rng.standard_normal(int(n))
         for check_name, fn in (("identity", identity_cell), ("alpha", alpha_cell)):
-            key = [cfg["name"], check_name, n, kap, t, dspec["mode"], delta]
+            key = [cfg["name"], check_name, n, kap, t, dcfg.mode, delta]
             if kap == 0.0:
                 # Degenerate rank-one block: the closed forms reduce to plain
                 # scaled identities, nothing left to validate.
@@ -379,7 +384,6 @@ def run_inverse_check(cfg: dict) -> RunResult:
         key = [cfg["name"], check_name, None, None, None, None, None]
         cells.append(Cell(key, partial(fn, key)))
 
-    lem = cfg["bias_sensitivity"]
     lem_phi = Realization(tuple(Point(np.asarray(p, dtype=float)) for p in lem["points"]))
     lem_v = Direction(np.asarray(lem["v_phi"], dtype=float))
     lem_g = target_from_config(lem["target"])
@@ -390,7 +394,7 @@ def run_inverse_check(cfg: dict) -> RunResult:
 
     def sensitivity_cell(t: float) -> list[list]:
         ts = shift_set(lem_phi, lem_v, t, lem_g)
-        delta = delta_from_config(lem["delta"]).delta * kap * t**2 if lem["delta"]["mode"] == "relative" else delta_from_config(lem["delta"]).delta
+        delta = lem_delta.delta * kap * t**2 if lem_delta.mode == "relative" else lem_delta.delta
         ctx = regression.closed_form_context(ts, kappa=kap, delta=delta)
         law = regression.bias_sensitivity_limit(ctx)
         wrng = np.random.default_rng(int(cfg["seed"]) + 20)
@@ -420,12 +424,12 @@ def run_inverse_check(cfg: dict) -> RunResult:
         if measured_active and ctx.g_sum:
             sens_cells[t] = float(np.mean(measured_active)) / ctx.g_sum
         return [
-            [cfg["name"], "beta2_sensitivity", lem["n"], kap, t, lem["delta"]["mode"], delta, "ok", worst, None],
-            [cfg["name"], "beta1_sensitivity", lem["n"], kap, t, lem["delta"]["mode"], delta, "ok", worst_b1, None],
+            [cfg["name"], "beta2_sensitivity", lem["n"], kap, t, lem_delta.mode, delta, "ok", worst, None],
+            [cfg["name"], "beta1_sensitivity", lem["n"], kap, t, lem_delta.mode, delta, "ok", worst_b1, None],
         ]
 
     for t in map(float, lem["t_list"]):
-        key = [cfg["name"], "beta2_sensitivity", lem["n"], kap, t, lem["delta"]["mode"], None]
+        key = [cfg["name"], "beta2_sensitivity", lem["n"], kap, t, lem_delta.mode, None]
         cells.append(Cell(key, partial(sensitivity_cell, t)))
 
     def scaling_row(rows: list[list]) -> list[list]:
@@ -435,7 +439,7 @@ def run_inverse_check(cfg: dict) -> RunResult:
         ratio = sens_cells[t0] / sens_cells[t1]
         expected = (t1 / t0) ** 2
         return [[
-            cfg["name"], "beta2_scaling", lem["n"], kap, None, lem["delta"]["mode"], None, "ok",
+            cfg["name"], "beta2_scaling", lem["n"], kap, None, lem_delta.mode, None, "ok",
             abs(ratio / expected - 1.0), f"t={t0:g}->{t1:g}",
         ]]
 

@@ -10,11 +10,13 @@ import itertools
 import numpy as np
 import pytest
 
+from ntkorigin import gram
 from ntkorigin import (
     ANALYTIC,
     Direction,
     InvalidRegularization,
     MonteCarlo,
+    NumericalFailure,
     Point,
     Realization,
     SinusoidalTarget,
@@ -164,6 +166,20 @@ class TestTikhonovSolve:
         delta = 1.0
         full = km.entries + delta * np.eye(5)
         assert np.linalg.eigvalsh(full)[0] >= delta * (1 - 1e-8)
+
+
+class TestLongDoubleGuard:
+    """The extended-precision paths refuse a long double that is only float64."""
+
+    def test_narrow_long_double_rejected(self, monkeypatch):
+        monkeypatch.setattr(gram, "_LONGDOUBLE_IS_WIDER", False)
+        with pytest.raises(NumericalFailure, match="long double"):
+            tikhonov_solve(asymptotic_gram(2, 1.0, 10.0), TikhonovConfig(delta=0.01), np.ones(2), extended=True)
+        with pytest.raises(NumericalFailure, match="long double"):
+            sherman_morrison_inverse(2, 1.0, 10.0, 0.01, dtype=np.longdouble)
+        # The float64 paths are not guarded.
+        tikhonov_solve(asymptotic_gram(2, 1.0, 10.0), TikhonovConfig(delta=0.01), np.ones(2))
+        sherman_morrison_inverse(2, 1.0, 10.0, 0.01)
 
 
 class TestAsymptoticAlpha:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ntkorigin import (
     ANALYTIC,
@@ -11,6 +13,7 @@ from ntkorigin import (
     MLPConfig,
     MLPModel,
     MonteCarlo,
+    NaNError,
     Point,
     PointWisePredictor,
     Realization,
@@ -115,6 +118,100 @@ class TestTrain:
         model = init_model(cfg, d=2)
         with pytest.raises(DivergenceError):
             train(model, ts, cfg)
+
+
+def _two_pass_train(model, ts, cfg, target_loss=None):
+    """Reference copy of `train` as it was before the single-pass loop: a
+    forward pass at the top of every step and a second one to score it."""
+    a_in = ts.augmented
+    y = ts.labels
+    sq = np.sqrt(model.width)
+    hidden = model.hidden.copy()
+    out = model.output.copy()
+    if cfg.lr is None:
+        z0 = a_in @ hidden.T
+        contrib = ((a_in * a_in).sum(axis=1)[:, None] + z0**2) * (z0 >= 0.0)
+        lr = 0.1 / float(contrib.mean(axis=1).mean())
+    else:
+        lr = cfg.lr
+    losses = np.empty(cfg.steps + 1)
+    f = np.maximum(a_in @ hidden.T, 0.0) @ out / sq
+    loss0 = 0.5 * float(np.sum((f - y) ** 2))
+    losses[0] = loss0
+    abort_at = 10.0 * loss0 if loss0 > 0 else np.inf
+    for step in range(cfg.steps):
+        z = a_in @ hidden.T
+        act = z >= 0.0
+        relu = np.where(act, z, 0.0)
+        resid = relu @ out / sq - y
+        grad_out = relu.T @ resid / sq
+        grad_hidden = ((act * resid[:, None]) * out[None, :]).T @ a_in / sq
+        hidden = hidden - lr * grad_hidden
+        out = out - lr * grad_out
+        loss = 0.5 * float(np.sum((np.maximum(a_in @ hidden.T, 0.0) @ out / sq - y) ** 2))
+        losses[step + 1] = loss
+        if not np.isfinite(loss):
+            raise NaNError(f"loss became non-finite at step {step + 1}")
+        if loss > abort_at:
+            raise DivergenceError(f"loss {loss:.3e} exceeded 10x initial at step {step + 1}")
+        if target_loss is not None and loss <= target_loss:
+            losses = losses[: step + 2]
+            break
+    return MLPModel(hidden=hidden, output=out), losses
+
+
+def _outcome(fn, *args, **kwargs):
+    """(model, losses) on success, or the exception's type and message."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # both forms must fail alike, whatever the error
+        return type(exc), str(exc)
+
+
+class TestSinglePassMatchesTwoPass:
+    """`train` runs one forward pass per step; its trajectory must equal the
+    two-pass reference bit for bit, early stops and aborts included."""
+
+    @given(
+        width=st.sampled_from([1, 2, 3, 64, 129]),
+        n=st.integers(min_value=1, max_value=8),
+        d=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**16),
+        lr=st.none() | st.floats(min_value=1e-4, max_value=1e-2),
+        stop_after=st.none() | st.integers(min_value=0, max_value=30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_trajectory_bit_identical(self, width, n, d, seed, lr, stop_after):
+        rng = np.random.default_rng(seed)
+        phi = Realization(tuple(Point(r) for r in rng.uniform(-1, 1, (n, d))))
+        g = SinusoidalTarget(u=rng.standard_normal(d), phase=0.4)
+        ts = shift_set(phi, Direction(rng.standard_normal(d)), float(rng.uniform(0.5, 10.0)), g)
+        cfg = MLPConfig(width=width, steps=30, lr=lr, seed=seed)
+        model = init_model(cfg, d)
+        target = None
+        if stop_after is not None:
+            # A loss the reference reaches, so the early stop fires.
+            ref = _outcome(_two_pass_train, model, ts, cfg)
+            if isinstance(ref[1], np.ndarray):
+                target = float(ref[1][min(stop_after, cfg.steps)])
+        want = _outcome(_two_pass_train, model, ts, cfg, target_loss=target)
+        got = _outcome(train, model, ts, cfg, target_loss=target)
+        if isinstance(want[1], str):
+            assert got == want
+            return
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[0].hidden, want[0].hidden)
+        assert np.array_equal(got[0].output, want[0].output)
+
+    def test_divergence_raised_at_the_same_step(self):
+        ts = TestTrain._task(n=1)
+        cfg = MLPConfig(width=8, steps=500, lr=50.0, seed=1)
+        model = init_model(cfg, d=2)
+        with pytest.raises(DivergenceError) as want:
+            _two_pass_train(model, ts, cfg)
+        with pytest.raises(DivergenceError) as got:
+            train(model, ts, cfg)
+        assert str(got.value) == str(want.value)
 
 
 class TestLazyRegime:

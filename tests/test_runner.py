@@ -100,6 +100,35 @@ class TestConfigs:
         path.write_text(json.dumps({"target": {"kind": "linear"}}))
         assert main(["farfield", "--config", str(path), "--out", str(tmp_path / "f.csv")]) == 1
 
+    def test_target_of_another_kind_replaces_the_default(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target": {"kind": "linear", "a": [1.0, 0.0]}}))
+        assert load_config("farfield", path)["target"] == {"kind": "linear", "a": [1.0, 0.0]}
+        path.write_text(json.dumps({"bias_sensitivity": {"target": {"kind": "linear", "a": [1.0, 0.0]}}}))
+        assert load_config("inverse-check", path)["bias_sensitivity"]["target"] == {"kind": "linear", "a": [1.0, 0.0]}
+        # A partial target of the same kind still merges key by key.
+        path.write_text(json.dumps({"target": {"phase": 0.0}}))
+        assert load_config("farfield", path)["target"] == {"kind": "sinusoidal", "u": [1.3, -0.7], "phase": 0.0}
+        path.write_text(json.dumps({"target": {"kind": "sinusoidal", "phase": 0.0}}))
+        assert load_config("farfield", path)["target"] == {"kind": "sinusoidal", "u": [1.3, -0.7], "phase": 0.0}
+
+    @pytest.mark.parametrize("sub, overlay", [
+        ("inverse-check", {"bias_sensitivity": {"delta": 5}}),
+        ("inverse-check", {"bias_sensitivity": {"delta": {"mode": "bogus"}}}),
+        ("inverse-check", {"delta_list": [{"mode": "bogus", "value": 1e-2}]}),
+        ("theorem1", {"delta": {"mode": "bogus", "value": 1e-8}}),
+        ("mlp-compare", {"delta": {"mode": "relative", "value": -1}}),
+        ("farfield", {"delta": {"mode": "absolute", "value": "x"}}),
+    ], ids=["bias-delta-not-a-dict", "bias-delta-bogus-mode", "delta-list-bogus-mode", "bogus-mode",
+            "negative-value", "non-numeric-value"])
+    def test_malformed_delta_spec_is_a_config_error(self, tmp_path, sub, overlay, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(overlay))
+        out = tmp_path / "out.csv"
+        assert main([sub, "--config", str(path), "--out", str(out)]) == 1
+        assert "malformed delta spec" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_theorem1_rerun_byte_identical(self):
