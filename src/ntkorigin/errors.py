@@ -22,7 +22,8 @@ class InvalidRegularization(NtkOriginError, ValueError):
 
 
 class NumericalFailure(NtkOriginError, RuntimeError):
-    """A linear solve broke down or failed its residual check."""
+    """A linear solve broke down or failed its residual check, or a step size
+    could not be derived from a zero init-time gram."""
 
 
 class FeatureMismatch(NtkOriginError, ValueError):

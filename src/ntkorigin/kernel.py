@@ -194,19 +194,38 @@ def _arc_cosine(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 def _mc_integrand(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray) -> Iterator[np.ndarray]:
     """Per-feature integrand values, one (n, K) block for each row of xs.
 
-    Pre-activations are one matrix-vector product per row, and the feature
-    axis is contiguous, so a mean over it sums in the same order for a single
-    pair as for a whole block. When xs is ys, its pre-activations are reused.
+    Every row is written into the same block, so a caller must be done with a
+    block before it asks for the next. Pre-activations are one matrix-vector
+    product per row, and the feature axis is contiguous, so a mean over it
+    sums in the same order for a single pair as for a whole block. When xs is
+    ys, its pre-activations are reused.
+
+    Activity is a float 0/1 mask applied by two in-place multiplies. Scaling
+    by 1.0 or 0.0 twice gives the same bits, signed zeros included, as one
+    product with the bool mask of both indicators, and it avoids the buffered
+    bool-to-float cast of a mixed-type multiply.
     """
     if weights.shape[1] != xs.shape[1]:
         raise DimensionError(f"feature dim {weights.shape[1]} != augmented dim {xs.shape[1]}")
-    sy = np.empty((ys.shape[0], weights.shape[0]))
+    k = weights.shape[0]
+    sy = np.empty((ys.shape[0], k))
     for out, y in zip(sy, ys):
         np.matmul(weights, y, out=out)
-    active_y = sy >= 0.0
+    fy = np.greater_equal(sy, 0.0, out=np.empty_like(sy))
+    sx = np.empty(k)
+    fx = np.empty(k)
+    block = np.empty_like(sy)
     for i, dots in enumerate(np.vecdot(xs[:, None, :], ys[None, :, :])):
-        sx = sy[i] if xs is ys else weights @ xs[i]
-        yield (dots[:, None] + sx * sy) * (active_y & (sx >= 0.0))
+        if xs is ys:
+            sx, fx = sy[i], fy[i]
+        else:
+            np.matmul(weights, xs[i], out=sx)
+            np.greater_equal(sx, 0.0, out=fx)
+        np.multiply(sx, sy, out=block)
+        np.add(dots[:, None], block, out=block)
+        block *= fy
+        block *= fx
+        yield block
 
 
 def kernel_matrix(xs: np.ndarray, ys: np.ndarray, mode: KernelMode) -> np.ndarray:
@@ -216,8 +235,13 @@ def kernel_matrix(xs: np.ndarray, ys: np.ndarray, mode: KernelMode) -> np.ndarra
     """
     xs, ys = _row_pair(xs, ys)
     if isinstance(mode, MonteCarlo):
-        means = [c.mean(axis=1) for c in _mc_integrand(xs, ys, mode.features.weights)]
-        return np.array(means).reshape(xs.shape[0], ys.shape[0])
+        weights = mode.features.weights
+        out = np.empty((xs.shape[0], ys.shape[0]))
+        # The sum and the division by K are the two steps of `mean(axis=1)`.
+        for row, block in zip(out, _mc_integrand(xs, ys, weights)):
+            np.sum(block, axis=1, out=row)
+        out /= weights.shape[0]
+        return out
     return _arc_cosine(xs, ys)
 
 
@@ -249,9 +273,11 @@ def streamed_diagonal(x: AugmentedPoint | np.ndarray, count: int, chunk: int, se
     row = _aug_coords(x)[None]
     xs, _ = _row_pair(row, row)
     gen = np.random.default_rng(seed)
+    buf = np.empty((min(chunk, count), xs.shape[1]))
     total = 0.0
     for start in range(0, count, chunk):
-        weights = gen.standard_normal((min(chunk, count - start), xs.shape[1]))
+        weights = buf[: min(chunk, count - start)]
+        gen.standard_normal(out=weights)
         total += float(next(_mc_integrand(xs, xs, weights))[0].sum())
     return total / count
 

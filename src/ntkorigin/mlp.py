@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, InvalidInput, NaNError
+from .errors import DimensionError, DivergenceError, InvalidInput, NaNError, NumericalFailure
 from .geometry import Point, ShiftedTrainingSet
 from .kernel import FeatureSample, sample_features
 
@@ -118,7 +118,9 @@ def train(
 
     Returns the trained snapshot and the loss trace (one entry per step plus
     the initial loss). Aborts with DivergenceError if the loss exceeds ten
-    times its initial value, and with NaNError on non-finite loss.
+    times its initial value, and with NaNError on non-finite loss. With
+    lr=None it raises NumericalFailure when no hidden unit is active on any
+    training input at init, since the learning rate would divide by zero.
 
     Each step runs one forward pass: the pass that scores a step's loss also
     yields the pre-activations and residual that the next step's gradients
@@ -141,7 +143,13 @@ def train(
         # Mean diagonal of the init-time tangent gram: per input i, the mean
         # over features of (|x_i|^2 + <w_k, x_i>^2) 1(<w_k, x_i> >= 0).
         contrib = ((a_in * a_in).sum(axis=1)[:, None] + z**2) * (z >= 0.0)
-        lr = 0.1 / float(contrib.mean(axis=1).mean())
+        mean_diag = float(contrib.mean(axis=1).mean())
+        if mean_diag == 0.0:
+            raise NumericalFailure(
+                "cannot pick a learning rate: no hidden unit is active on any "
+                "training input at init, so the init-time tangent gram is zero"
+            )
+        lr = 0.1 / mean_diag
     else:
         lr = cfg.lr
 

@@ -168,6 +168,32 @@ class TestTikhonovSolve:
         assert np.linalg.eigvalsh(full)[0] >= delta * (1 - 1e-8)
 
 
+class TestFailureMessages:
+    """Failure messages are built from the Cholesky factor, never from an SVD."""
+
+    @pytest.fixture(autouse=True)
+    def _no_svd(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a failure message ran an SVD")
+
+        monkeypatch.setattr(np.linalg, "cond", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+
+    def test_breakdown_names_the_failing_minor(self):
+        indefinite = gram.GramMatrix(entries=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(NumericalFailure, match="Cholesky breakdown.*minor"):
+            tikhonov_solve(indefinite, TikhonovConfig(delta=1e-3), np.ones(2))
+
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_residual_gate_reports_a_condition_lower_bound(self, extended):
+        labels = np.linspace(-1.0, 1.0, 8)
+        with pytest.raises(NumericalFailure, match="condition lower bound") as info:
+            tikhonov_solve(asymptotic_gram(8, 1.0, 1e6), TikhonovConfig(delta=1.0), labels, extended=extended)
+        # The bound is (max / min pivot)^2, below the true condition 8e12 + 1.
+        bound = float(str(info.value).rsplit(" ", 1)[1])
+        assert 1.0 < bound <= 8e12 + 1.0
+
+
 class TestLongDoubleGuard:
     """The extended-precision paths refuse a long double that is only float64."""
 

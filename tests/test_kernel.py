@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ntkorigin import kernel
 from ntkorigin import (
     ANALYTIC,
     DegenerateDirection,
@@ -292,6 +293,92 @@ class TestKernelMatrix:
             kernel_matrix(np.ones(3), np.ones((2, 3)), ANALYTIC)
         with pytest.raises(InvalidInput):
             kernel_matrix(np.array([[np.inf, 1.0]]), np.ones((1, 2)), ANALYTIC)
+
+
+def _reference_integrand(xs, ys, weights):
+    """The Monte Carlo integrand as it was before the in-place block: a fresh
+    (n, K) array per row of xs, multiplied by the bool mask of both indicators."""
+    sy = np.empty((ys.shape[0], weights.shape[0]))
+    for out, y in zip(sy, ys):
+        np.matmul(weights, y, out=out)
+    active_y = sy >= 0.0
+    for i, dots in enumerate(np.vecdot(xs[:, None, :], ys[None, :, :])):
+        sx = sy[i] if xs is ys else weights @ xs[i]
+        yield (dots[:, None] + sx * sy) * (active_y & (sx >= 0.0))
+
+
+def _reference_estimate(contribs):
+    k = contribs.size
+    se = float(contribs.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0
+    return float(contribs.mean()), se
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestInPlaceIntegrand:
+    """The reused block with float masks reproduces the fresh-array, bool-mask
+    integrand bit for bit, signed zeros included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 4),
+        m=st.integers(1, 6),
+        n=st.integers(1, 6),
+        t=st.floats(0.0, 1e4),
+        k=st.integers(1, 400),
+    )
+    def test_matches_reference_integrand(self, seed, d, m, n, t, k):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(d)
+        xs = _augmented_rows(rng, m, d, 0.0)
+        ys = _augmented_rows(rng, n, d, t * v)
+        fs = sample_features(d, k, seed=seed)
+        mode = MonteCarlo(fs)
+        for a, b in ((xs, ys), (ys, ys)):
+            blocks = zip(kernel._mc_integrand(a, b, fs.weights), _reference_integrand(a, b, fs.weights))
+            assert all(_same_bits(got, want) for got, want in blocks)
+            want = np.array([c.mean(axis=1) for c in _reference_integrand(a, b, fs.weights)])
+            assert _same_bits(kernel_matrix(a, b, mode), want.reshape(len(a), len(b)))
+        for a, b in ((xs[0], ys[-1]), (ys[0], ys[0])):
+            est = ntk(a, b, mode)
+            value, se = _reference_estimate(next(_reference_integrand(a[None], b[None], fs.weights))[0])
+            assert _same_bits(est.value, value) and _same_bits(est.std_error, se)
+        direction = Direction(v)
+        lim = -direction.augmented()[None]
+        value, se = _reference_estimate(next(_reference_integrand(lim, lim, fs.weights))[0])
+        est = kappa(direction, mode)
+        assert _same_bits(est.value, value) and _same_bits(est.std_error, se)
+
+    def test_signed_zero_of_an_inactive_entry_is_kept(self):
+        # x.y + sx*sy is -3 for the one feature, and y's indicator is off:
+        # the masked product is -0.0, as a bool-mask product gives.
+        weights = np.array([[1.0, 0.0]])
+        xs = np.array([[1.0, 1.0]])
+        ys = np.array([[-2.0, 1.0]])
+        got = next(kernel._mc_integrand(xs, ys, weights))
+        assert got[0, 0] == 0.0 and np.signbit(got[0, 0])
+        assert _same_bits(got, next(_reference_integrand(xs, ys, weights)))
+
+    def test_earlier_results_survive_later_calls(self):
+        fs = sample_features(2, 300, seed=4)
+        mode = MonteCarlo(fs)
+        rng = np.random.default_rng(4)
+        xs = _augmented_rows(rng, 5, 2, 0.0)
+        ys = _augmented_rows(rng, 3, 2, 50.0)
+        first = kernel_matrix(xs, ys, mode)
+        first_copy = first.copy()
+        pair = ntk(xs[0], ys[0], mode)
+        k_est = kappa(Direction([0.6, 0.8]), mode)
+        kernel_matrix(ys, ys, mode)
+        ntk(xs[1], ys[2], mode)
+        kappa(Direction([-1.0, 0.5]), mode)
+        assert _same_bits(first, first_copy)
+        assert pair == ntk(xs[0], ys[0], mode)
+        assert k_est == kappa(Direction([0.6, 0.8]), mode)
 
 
 def _reference_diagonal(xa, count, chunk, seed):
