@@ -13,10 +13,10 @@ from .errors import (
     DimensionError,
     DivergenceError,
     EvaluationError,
-    FeatureMismatch,
     FitFailure,
     InvalidInput,
     InvalidRegularization,
+    MissingFeatureSample,
     NaNError,
     NtkOriginError,
     NumericalFailure,
@@ -44,10 +44,8 @@ from .kernel import (
     MonteCarlo,
     agnosticism_rate,
     feature_map,
-    indicator,
     kappa,
     kernel_matrix,
-    limit_indicator,
     ntk,
     sample_features,
     streamed_diagonal,

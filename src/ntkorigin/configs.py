@@ -44,7 +44,6 @@ _FARFIELD = {
     "v_phi": [0.8, 0.6],
     "delta": {"mode": "relative", "value": 1e-8},
     "target": {"kind": "sinusoidal", "u": [1.3, -0.7], "phase": 0.4},
-    "mode": "analytic",
     "n_directions": 8,
     "window": [100.0, 1000.0],
     "profile_points": 41,
@@ -83,8 +82,6 @@ _INVERSE_CHECK = {
     "stencil_max_order": 16,
     "sigma_instances": 100,
     "bias_sensitivity": {
-        "d": 2,
-        "n": 2,
         "points": [[0.3, -0.4], [0.1, 0.2]],
         "v_phi": [0.6, -0.8],
         "t_list": [100.0, 1000.0],
@@ -149,27 +146,28 @@ def default_config(subcommand: str) -> dict:
 def overlay_config(subcommand: str, user: dict) -> dict:
     """The default config of `subcommand` with `user` laid over it.
 
-    A top-level key the default lacks is rejected, so a misspelled key cannot
-    leave the default silently in force. Nested dicts are merged key by key,
-    so a partial nested overlay keeps the default's other fields, except that
-    a dict whose `kind` differs from the default's (a target of another kind)
-    replaces it whole, so no field of the old kind lingers.
+    A key the default lacks is rejected, at the top level and in every nested
+    dict that is merged, so a misspelled key cannot leave the default silently
+    in force. Nested dicts are merged key by key, so a partial nested overlay
+    keeps the default's other fields, except that a dict whose `kind` differs
+    from the default's (a target of another kind) replaces it whole, so no
+    field of the old kind lingers.
     """
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
     cfg = default_config(subcommand)
-    unknown = sorted(set(user) - set(cfg))
-    if unknown:
-        raise ConfigError(f"unknown {subcommand} config keys {unknown}; see --print-config")
-    _merge(cfg, user)
+    _merge(cfg, user, subcommand, "")
     return cfg
 
 
-def _merge(base: dict, user: dict) -> None:
+def _merge(base: dict, user: dict, subcommand: str, prefix: str) -> None:
+    unknown = sorted(prefix + key for key in set(user) - set(base))
+    if unknown:
+        raise ConfigError(f"unknown {subcommand} config keys {unknown}; see --print-config")
     for key, value in user.items():
-        old = base.get(key)
+        old = base[key]
         mergeable = isinstance(value, dict) and isinstance(old, dict)
         if mergeable and value.get("kind", old.get("kind")) == old.get("kind"):
-            _merge(old, value)
+            _merge(old, value, subcommand, f"{prefix}{key}.")
         else:
             base[key] = value

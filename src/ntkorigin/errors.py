@@ -26,8 +26,9 @@ class NumericalFailure(NtkOriginError, RuntimeError):
     could not be derived from a zero init-time gram."""
 
 
-class FeatureMismatch(NtkOriginError, ValueError):
-    """Two operands were built from different feature samples."""
+class MissingFeatureSample(NtkOriginError, ValueError):
+    """An operation needs a Monte Carlo feature sample, but its operand was
+    computed under the analytic kernel, which has none."""
 
 
 class BoundaryTooClose(NtkOriginError, ValueError):

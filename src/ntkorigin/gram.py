@@ -24,7 +24,7 @@ from .errors import (
     NumericalFailure,
 )
 from .geometry import ShiftedTrainingSet
-from .kernel import FeatureSample, KernelMode, MonteCarlo, kernel_matrix
+from .kernel import ANALYTIC, KernelMode, kernel_matrix
 
 RESIDUAL_BOUND = 1e-8
 
@@ -44,11 +44,10 @@ def _require_wide_longdouble(what: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Symmetric kernel gram with the mode it was assembled under."""
+    """Symmetric kernel gram with the kernel mode it was assembled under."""
 
     entries: np.ndarray
-    mode: str = "analytic"
-    features: FeatureSample | None = None
+    mode: KernelMode = ANALYTIC
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=np.float64)
@@ -99,12 +98,16 @@ class TikhonovConfig:
 
 @dataclass(frozen=True, eq=False)
 class AlphaVector:
-    """Solution of (K + delta I) alpha = Y, with solve diagnostics attached."""
+    """Solution of (K + delta I) alpha = Y, with solve diagnostics attached.
+
+    `mode` is the kernel mode of the gram K, so every prediction made from
+    these coefficients evaluates the kernel the gram was assembled with.
+    """
 
     values: np.ndarray
     delta: float
     residual: float = 0.0
-    features: FeatureSample | None = None
+    mode: KernelMode = ANALYTIC
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -126,10 +129,7 @@ def assemble_gram(ts: ShiftedTrainingSet, mode: KernelMode) -> GramMatrix:
     """
     a = ts.augmented
     out = kernel_matrix(a, a, mode)
-    out = np.triu(out) + np.triu(out, 1).T
-    if isinstance(mode, MonteCarlo):
-        return GramMatrix(entries=out, mode="mc", features=mode.features)
-    return GramMatrix(entries=out, mode="analytic")
+    return GramMatrix(entries=np.triu(out) + np.triu(out, 1).T, mode=mode)
 
 
 def asymptotic_gram(n: int, kappa: float, t: float) -> GramMatrix:
@@ -138,7 +138,7 @@ def asymptotic_gram(n: int, kappa: float, t: float) -> GramMatrix:
         raise DimensionError(f"n must be >= 1, got {n}")
     if kappa < 0 or t < 0:
         raise InvalidInput("kappa and t must be nonnegative")
-    return GramMatrix(entries=np.full((n, n), float(kappa) * float(t) ** 2), mode="analytic")
+    return GramMatrix(entries=np.full((n, n), float(kappa) * float(t) ** 2))
 
 
 def sherman_morrison_inverse(
@@ -249,7 +249,7 @@ def tikhonov_solve(
             f"solve residual {resid:.3e} exceeds {RESIDUAL_BOUND:.0e} * |Y|, "
             f"condition lower bound {cond_floor:.3e}"
         )
-    return AlphaVector(values=alpha, delta=delta, residual=resid, features=gram.features)
+    return AlphaVector(values=alpha, delta=delta, residual=resid, mode=gram.mode)
 
 
 def asymptotic_alpha(labels: np.ndarray, n: int, kappa: float, t: float, delta: float) -> AlphaVector:

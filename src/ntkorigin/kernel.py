@@ -26,9 +26,7 @@ Ties follow the ">= 0" convention: an exactly-zero pre-activation indicates 1.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -39,10 +37,9 @@ from .geometry import AugmentedPoint, Direction, ShiftedTrainingSet
 
 @dataclass(frozen=True, eq=False)
 class FeatureSample:
-    """K weight vectors of length d+1 drawn i.i.d. standard normal from a seed."""
+    """K weight vectors of length d+1, i.i.d. standard normal as `sample_features` draws them."""
 
     weights: np.ndarray
-    seed: int
 
     def __post_init__(self):
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
@@ -50,7 +47,6 @@ class FeatureSample:
             raise DimensionError(f"weights must be (K, d+1) with K >= 1, got {w.shape}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def count(self) -> int:
@@ -60,18 +56,6 @@ class FeatureSample:
     def dim(self) -> int:
         """Data dimension d (the weights live in d+1)."""
         return self.weights.shape[1] - 1
-
-    @cached_property
-    def digest(self) -> bytes:
-        """SHA-256 of the weight bytes, computed on first use: sweeps that never
-        compare samples do not pay for hashing up to 1e6 x (d+1) weights."""
-        return hashlib.sha256(self.weights.data).digest()
-
-    def same_sample(self, other: "FeatureSample") -> bool:
-        """True when both hold the same weights, whatever seed either was labelled with."""
-        return self is other or (
-            self.weights.shape == other.weights.shape and self.digest == other.digest
-        )
 
 
 @dataclass(frozen=True)
@@ -106,7 +90,7 @@ def sample_features(d: int, count: int, seed: int) -> FeatureSample:
     if d < 1:
         raise DimensionError(f"dimension must be >= 1, got {d}")
     rng = np.random.default_rng(seed)
-    return FeatureSample(weights=rng.standard_normal((count, d + 1)), seed=seed)
+    return FeatureSample(weights=rng.standard_normal((count, d + 1)))
 
 
 def _aug_coords(p: AugmentedPoint | np.ndarray) -> np.ndarray:
@@ -114,28 +98,6 @@ def _aug_coords(p: AugmentedPoint | np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise InvalidInput("augmented vector contains non-finite entries")
     return a
-
-
-def indicator(w: np.ndarray, p: AugmentedPoint | np.ndarray) -> int:
-    """ReLU activation indicator 1(<w, p> >= 0); exact zero counts as active."""
-    w = np.asarray(w, dtype=np.float64)
-    a = _aug_coords(p)
-    if w.shape != a.shape:
-        raise DimensionError(f"weight shape {w.shape} != point shape {a.shape}")
-    return int(np.dot(w, a) >= 0.0)
-
-
-def limit_indicator(w: np.ndarray, v: Direction) -> int:
-    """Input-agnostic indicator 1(<w, -v_hat> >= 0) of the far-shift limit.
-
-    Every training point of a set shifted by -t*v activates exactly like this
-    once t dominates the point's own coordinates.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    vhat = v.augmented()
-    if w.shape != vhat.shape:
-        raise DimensionError(f"weight shape {w.shape} != direction shape {vhat.shape}")
-    return int(np.dot(w, -vhat) >= 0.0)
 
 
 def feature_map(p: AugmentedPoint | np.ndarray, fs: FeatureSample) -> np.ndarray:

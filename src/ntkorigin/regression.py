@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryTooClose, DimensionError, FeatureMismatch, InvalidInput, InvalidRegularization
+from .errors import BoundaryTooClose, DimensionError, InvalidInput, InvalidRegularization, MissingFeatureSample
 from .geometry import Direction, Point, Realization, ShiftedTrainingSet, TargetFunction, shift_set
 from .gram import AlphaVector
-from .kernel import ANALYTIC, FeatureSample, KernelMode, kernel_matrix
+from .kernel import FeatureSample, MonteCarlo, kernel_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,15 +54,19 @@ class BetaComponents:
         object.__setattr__(self, "beta2", b2)
 
 
-def beta_from_alpha(ts: ShiftedTrainingSet, alpha: AlphaVector, fs: FeatureSample) -> BetaComponents:
-    """Assemble the per-feature blocks from solved coefficients.
+def beta_from_alpha(ts: ShiftedTrainingSet, alpha: AlphaVector) -> BetaComponents:
+    """Assemble the per-feature blocks from coefficients solved on a Monte
+    Carlo gram, over that gram's own feature sample.
 
-    When alpha carries the sample of the gram it was solved on, it must be the
-    sample given here; mixing samples silently desynchronizes indicators and
-    produces meaningless blocks.
+    The sample comes from `alpha.mode`, so the blocks share their indicators
+    with the gram and with the kernel expansion of alpha. An alpha solved
+    under the analytic kernel has no sample and raises MissingFeatureSample.
     """
-    if alpha.features is not None and not alpha.features.same_sample(fs):
-        raise FeatureMismatch("alpha was solved against a different feature sample")
+    if not isinstance(alpha.mode, MonteCarlo):
+        raise MissingFeatureSample(
+            "beta blocks need the feature sample of a Monte Carlo alpha; this alpha was solved under the analytic kernel"
+        )
+    fs = alpha.mode.features
     if alpha.n != ts.n:
         raise DimensionError(f"alpha size {alpha.n} != training size {ts.n}")
     if fs.dim != ts.dim:
@@ -191,11 +195,15 @@ def beta_bias_sensitivity(
 
 @dataclass(frozen=True, eq=False)
 class PointWisePredictor:
-    """Kernel-expansion form: f(x) = sum_i k(x, x_i) alpha_i."""
+    """Kernel-expansion form: f(x) = sum_i k(x, x_i) alpha_i, with k under
+    the kernel mode alpha was solved under."""
 
     training: ShiftedTrainingSet
     alpha: AlphaVector
-    mode: KernelMode = ANALYTIC
+
+    def __post_init__(self):
+        if self.alpha.n != self.training.n:
+            raise DimensionError(f"alpha size {self.alpha.n} != training size {self.training.n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,7 +235,7 @@ def predict(pred: Predictor, x: Point | np.ndarray) -> float | np.ndarray:
         if xa.shape[1] != a.shape[1]:
             raise DimensionError(f"point dim {xa.shape[1] - 1} != training dim {a.shape[1] - 1}")
         # vecdot reduces each kernel row like the 1-D dot of a single point.
-        vals = np.vecdot(kernel_matrix(xa, a, pred.mode), pred.alpha.values)
+        vals = np.vecdot(kernel_matrix(xa, a, pred.alpha.mode), pred.alpha.values)
     else:
         fs = pred.beta.features
         if xa.shape[1] != fs.dim + 1:

@@ -205,7 +205,7 @@ def run_theorem1(cfg: dict) -> RunResult:
         km = gram.assemble_gram(ts, mode)
         delta = delta_cfg.resolve(km)
         alpha = gram.tikhonov_solve(km, delta_cfg, ts.labels)
-        predictor = regression.PointWisePredictor(training=ts, alpha=alpha, mode=mode)
+        predictor = regression.PointWisePredictor(training=ts, alpha=alpha)
         kap_ana = v_phi.norm**2
         limit_err = float(np.abs(km.entries / t**2 - kap_ana).max())
         rate = kernel.agnosticism_rate(ts, fs) if mc else None
@@ -221,7 +221,7 @@ def run_theorem1(cfg: dict) -> RunResult:
                 kappa_val, limit_err, rate, None,
             ])
         if mc:
-            beta = regression.beta_from_alpha(ts, alpha, fs)
+            beta = regression.beta_from_alpha(ts, alpha)
             fsp = regression.FeatureSpacePredictor(beta=beta)
             eq_rng = np.random.default_rng(eq_rng_seed)
             xs = eq_rng.uniform(-2.0, 2.0, (int(cfg.get("equivalence_points", 0)), int(cfg["d"])))
@@ -252,7 +252,7 @@ def run_farfield(cfg: dict) -> RunResult:
     ts = shift_set(phi, v_phi, 0.0, g)
     km = gram.assemble_gram(ts, kernel.ANALYTIC)
     alpha = gram.tikhonov_solve(km, delta_cfg, ts.labels)
-    predictor = regression.PointWisePredictor(training=ts, alpha=alpha, mode=kernel.ANALYTIC)
+    predictor = regression.PointWisePredictor(training=ts, alpha=alpha)
     lo, hi = [float(x) for x in cfg["window"]]
     center, radius = (lo + hi) / 2.0, (hi - lo) / 2.0
     m = int(cfg["profile_points"])
@@ -424,12 +424,12 @@ def run_inverse_check(cfg: dict) -> RunResult:
         if measured_active and ctx.g_sum:
             sens_cells[t] = float(np.mean(measured_active)) / ctx.g_sum
         return [
-            [cfg["name"], "beta2_sensitivity", lem["n"], kap, t, lem_delta.mode, delta, "ok", worst, None],
-            [cfg["name"], "beta1_sensitivity", lem["n"], kap, t, lem_delta.mode, delta, "ok", worst_b1, None],
+            [cfg["name"], "beta2_sensitivity", lem_phi.n, kap, t, lem_delta.mode, delta, "ok", worst, None],
+            [cfg["name"], "beta1_sensitivity", lem_phi.n, kap, t, lem_delta.mode, delta, "ok", worst_b1, None],
         ]
 
     for t in map(float, lem["t_list"]):
-        key = [cfg["name"], "beta2_sensitivity", lem["n"], kap, t, lem_delta.mode, None]
+        key = [cfg["name"], "beta2_sensitivity", lem_phi.n, kap, t, lem_delta.mode, None]
         cells.append(Cell(key, partial(sensitivity_cell, t)))
 
     def scaling_row(rows: list[list]) -> list[list]:
@@ -439,7 +439,7 @@ def run_inverse_check(cfg: dict) -> RunResult:
         ratio = sens_cells[t0] / sens_cells[t1]
         expected = (t1 / t0) ** 2
         return [[
-            cfg["name"], "beta2_scaling", lem["n"], kap, None, lem_delta.mode, None, "ok",
+            cfg["name"], "beta2_scaling", lem_phi.n, kap, None, lem_delta.mode, None, "ok",
             abs(ratio / expected - 1.0), f"t={t0:g}->{t1:g}",
         ]]
 
@@ -521,7 +521,7 @@ def run_mlp_compare(cfg: dict) -> RunResult:
     ts = shift_set(phi, v_phi, float(cfg["t"]), g)
     km = gram.assemble_gram(ts, kernel.ANALYTIC)
     alpha = gram.tikhonov_solve(km, delta_from_config(cfg["delta"]), ts.labels)
-    predictor = regression.PointWisePredictor(training=ts, alpha=alpha, mode=kernel.ANALYTIC)
+    predictor = regression.PointWisePredictor(training=ts, alpha=alpha)
     erng = np.random.default_rng(int(cfg["eval_points_seed"]))
     box = float(cfg["eval_box"])
     eval_pts = [Point(erng.uniform(-box, box, d)) for _ in range(int(cfg["eval_points"]))]

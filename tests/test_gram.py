@@ -159,6 +159,16 @@ class TestTikhonovSolve:
         alpha = tikhonov_solve(km, TikhonovConfig(delta=1e-8, mode="relative"), ts.labels)
         assert alpha.residual <= 1e-8 * np.linalg.norm(ts.labels)
 
+    @pytest.mark.parametrize("sampled", [False, True], ids=["analytic", "mc"])
+    def test_alpha_carries_the_mode_of_its_gram(self, sampled):
+        rng = np.random.default_rng(4)
+        phi = Realization(tuple(Point(r) for r in rng.uniform(-1, 1, (4, 2))))
+        ts = shift_set(phi, Direction([0.8, 0.6]), 10.0, SinusoidalTarget(u=[1.0, -1.0]))
+        mode = MonteCarlo(sample_features(2, 500, seed=8)) if sampled else ANALYTIC
+        km = assemble_gram(ts, mode)
+        assert km.mode is mode
+        assert tikhonov_solve(km, TikhonovConfig(delta=1e-6, mode="relative"), ts.labels).mode is mode
+
     def test_regularized_matrix_stays_positive(self):
         # delta chosen large enough that eigensolver noise (~|K| * n * eps)
         # stays below the 1e-8 * delta verification margin.

@@ -23,11 +23,10 @@ from ntkorigin import (
     SinusoidalTarget,
     agnosticism_rate,
     augment,
+    closed_form_context,
     feature_map,
-    indicator,
     kappa,
     kernel_matrix,
-    limit_indicator,
     ntk,
     sample_features,
     shift_set,
@@ -52,52 +51,59 @@ class TestSampleFeatures:
         with pytest.raises(InvalidInput):
             sample_features(3, 0, seed=0)
 
-    def test_same_sample_compares_weights_not_seed_labels(self):
-        a = sample_features(2, 4, seed=7)
-        assert a.same_sample(sample_features(2, 4, seed=7))
-        assert a.same_sample(FeatureSample(weights=a.weights.copy(), seed=99))
-        other = a.weights.copy()
-        other[3, 2] = np.nextafter(other[3, 2], np.inf)
-        assert not a.same_sample(FeatureSample(weights=other, seed=7))
-        assert not a.same_sample(FeatureSample(weights=a.weights.reshape(3, 4), seed=7))
+
+def _one_feature(w) -> MonteCarlo:
+    return MonteCarlo(FeatureSample(weights=np.array([w], dtype=float)))
 
 
 class TestIndicator:
+    """The ReLU indicator 1(<w, p> >= 0), seen through a one-feature `ntk`:
+    k(p, p) is |p|^2 + <w, p>^2 when the feature is active and 0 when not."""
+
     def test_positive(self):
-        assert indicator(np.array([0.5, -0.3]), np.array([2.0, 1.0])) == 1
+        p = np.array([2.0, 1.0])
+        assert ntk(p, p, _one_feature([0.5, -0.3])).value == 5.0 + 0.7**2
 
     def test_tie_counts_as_active(self):
-        assert indicator(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1
+        # The pre-activation <w, p> is exactly 0, so only p.p is left.
+        p = np.array([0.0, 1.0])
+        assert ntk(p, p, _one_feature([1.0, 0.0])).value == 1.0
 
     def test_negative(self):
-        assert indicator(np.array([-1.0, 0.0, 0.0]), augment(Point([5.0, 5.0]))) == 0
+        p = augment(Point([5.0, 5.0]))
+        assert ntk(p, p, _one_feature([-1.0, 0.0, 0.0])).value == 0.0
 
 
 class TestLimitIndicator:
+    """The far-shift limit indicator 1(<w, -v_hat> >= 0) of `ClosedFormContext.active`."""
+
+    @staticmethod
+    def _context(v):
+        ts = shift_set(Realization((Point([0.3, -0.2]),)), v, 10.0, SinusoidalTarget(u=[1.0, 0.0]))
+        return closed_form_context(ts, kappa=v.norm**2, delta=1.0)
+
     def test_active(self):
-        assert limit_indicator(np.array([-0.3, 0.8, 0.1]), Direction([1.0, 0.0])) == 1
+        assert self._context(Direction([1.0, 0.0])).active(np.array([-0.3, 0.8, 0.1]))
 
     def test_inactive(self):
-        assert limit_indicator(np.array([0.3, -0.2, 0.5]), Direction([1.0, 0.0])) == 0
+        assert not self._context(Direction([1.0, 0.0])).active(np.array([0.3, -0.2, 0.5]))
 
     def test_tie(self):
-        assert limit_indicator(np.array([0.0, 1.0, 0.3]), Direction([1.0, 0.0])) == 1
+        assert self._context(Direction([1.0, 0.0])).active(np.array([0.0, 1.0, 0.3]))
 
     def test_zero_direction(self):
         with pytest.raises(DegenerateDirection):
-            limit_indicator(np.array([1.0, 0.0]), Direction([0.0]))
+            self._context(Direction([0.0, 0.0]))
 
 
 class TestFeatureMap:
     def test_active_block(self):
-        fs = sample_features(1, 1, seed=0)
-        fs = type(fs)(weights=np.array([[0.5, -0.3]]), seed=0)
+        fs = FeatureSample(weights=np.array([[0.5, -0.3]]))
         fm = feature_map(np.array([2.0, 1.0]), fs)
         np.testing.assert_allclose(fm, [[2.0, 1.0, 0.7]], rtol=0, atol=1e-15)
 
     def test_inactive_block_is_zero(self):
-        fs = sample_features(1, 1, seed=0)
-        fs = type(fs)(weights=np.array([[-1.0, 0.0]]), seed=0)
+        fs = FeatureSample(weights=np.array([[-1.0, 0.0]]))
         fm = feature_map(np.array([2.0, 1.0]), fs)
         assert np.array_equal(fm, [[0.0, 0.0, 0.0]])
 
@@ -216,7 +222,7 @@ class TestKappa:
         fs = sample_features(2, 5000, seed=33)
         shifted = np.array(fs.weights, copy=True)
         shifted[:, -1] += 3.7
-        fs_shifted = type(fs)(weights=shifted, seed=fs.seed)
+        fs_shifted = FeatureSample(weights=shifted)
         assert kappa(v, MonteCarlo(fs)).value == kappa(v, MonteCarlo(fs_shifted)).value
 
 

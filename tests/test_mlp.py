@@ -248,7 +248,7 @@ class TestLazyRegime:
         assert losses[-1] <= 1e-6 * losses[0]
         km = assemble_gram(ts, ANALYTIC)
         alpha = tikhonov_solve(km, TikhonovConfig(delta=1e-8, mode="relative"), ts.labels)
-        pred = PointWisePredictor(training=ts, alpha=alpha, mode=ANALYTIC)
+        pred = PointWisePredictor(training=ts, alpha=alpha)
         rng = np.random.default_rng(7)
         for _ in range(5):
             x = Point(rng.uniform(-0.5, 0.5, 2))

@@ -11,10 +11,10 @@ from ntkorigin import (
     BoundaryTooClose,
     DimensionError,
     Direction,
-    FeatureMismatch,
     FeatureSample,
     FeatureSpacePredictor,
     LinearTarget,
+    MissingFeatureSample,
     MonteCarlo,
     Point,
     PointWisePredictor,
@@ -27,6 +27,7 @@ from ntkorigin import (
     beta_from_alpha,
     bias_sensitivity_limit,
     closed_form_context,
+    kernel_matrix,
     predict,
     sample_features,
     shift_set,
@@ -48,7 +49,7 @@ class TestBetaFromAlpha:
     def test_zero_alpha_gives_zero_blocks(self):
         ts, *_ = _training_set()
         fs = sample_features(2, 16, seed=1)
-        beta = beta_from_alpha(ts, AlphaVector(values=np.zeros(ts.n), delta=1.0), fs)
+        beta = beta_from_alpha(ts, AlphaVector(values=np.zeros(ts.n), delta=1.0, mode=MonteCarlo(fs)))
         assert np.array_equal(beta.beta1, np.zeros((16, 3)))
         assert np.array_equal(beta.beta2, np.zeros(16))
 
@@ -56,46 +57,31 @@ class TestBetaFromAlpha:
         phi = Realization((Point([1.0, 2.0]),))
         ts = shift_set(phi, Direction([1.0, 0.0]), 0.0, LinearTarget(a=[1.0, 0.0]))
         w = np.array([[0.5, 0.5, 0.5]])  # active on [1, 2, 1]
-        fs = FeatureSample(weights=w, seed=0)
+        fs = FeatureSample(weights=w)
         a = 0.7
-        beta = beta_from_alpha(ts, AlphaVector(values=np.array([a]), delta=1.0), fs)
+        beta = beta_from_alpha(ts, AlphaVector(values=np.array([a]), delta=1.0, mode=MonteCarlo(fs)))
         np.testing.assert_allclose(beta.beta1[0], a * np.array([1.0, 2.0, 1.0]), rtol=0)
         assert beta.beta2[0] == pytest.approx(a * 2.0, rel=1e-15)
 
     def test_inactive_feature_zero_block(self):
         phi = Realization((Point([1.0, 2.0]),))
         ts = shift_set(phi, Direction([1.0, 0.0]), 0.0, LinearTarget(a=[1.0, 0.0]))
-        fs = FeatureSample(weights=np.array([[-1.0, -1.0, -1.0]]), seed=0)
-        beta = beta_from_alpha(ts, AlphaVector(values=np.array([2.0]), delta=1.0), fs)
+        fs = FeatureSample(weights=np.array([[-1.0, -1.0, -1.0]]))
+        beta = beta_from_alpha(ts, AlphaVector(values=np.array([2.0]), delta=1.0, mode=MonteCarlo(fs)))
         assert np.array_equal(beta.beta1, np.zeros((1, 3)))
         assert np.array_equal(beta.beta2, np.zeros(1))
 
-    def test_sample_mismatch_rejected(self):
+    def test_blocks_use_the_sample_of_the_gram(self):
         ts, *_ = _training_set()
-        fs_a = sample_features(2, 8, seed=1)
-        fs_b = sample_features(2, 8, seed=2)
-        km = assemble_gram(ts, MonteCarlo(fs_a))
-        alpha = tikhonov_solve(km, TikhonovConfig(delta=1e-8, mode="relative"), ts.labels)
-        with pytest.raises(FeatureMismatch):
-            beta_from_alpha(ts, alpha, fs_b)
+        fs = sample_features(2, 8, seed=1)
+        alpha = tikhonov_solve(assemble_gram(ts, MonteCarlo(fs)), TikhonovConfig(delta=1e-8, mode="relative"), ts.labels)
+        assert beta_from_alpha(ts, alpha).features is fs
 
-    def test_same_seed_different_weights_rejected(self):
+    def test_analytic_alpha_rejected(self):
         ts, *_ = _training_set()
-        fs_a = sample_features(2, 8, seed=1)
-        fs_b = FeatureSample(weights=-fs_a.weights, seed=1)
-        km = assemble_gram(ts, MonteCarlo(fs_a))
-        alpha = tikhonov_solve(km, TikhonovConfig(delta=1e-8, mode="relative"), ts.labels)
-        with pytest.raises(FeatureMismatch):
-            beta_from_alpha(ts, alpha, fs_b)
-
-    def test_copied_weights_accepted(self):
-        ts, *_ = _training_set()
-        fs_a = sample_features(2, 8, seed=1)
-        fs_b = FeatureSample(weights=fs_a.weights.copy(), seed=1)
-        km = assemble_gram(ts, MonteCarlo(fs_a))
-        alpha = tikhonov_solve(km, TikhonovConfig(delta=1e-8, mode="relative"), ts.labels)
-        via_copy = beta_from_alpha(ts, alpha, fs_b)
-        assert np.array_equal(via_copy.beta2, beta_from_alpha(ts, alpha, fs_a).beta2)
+        alpha = tikhonov_solve(assemble_gram(ts, ANALYTIC), TikhonovConfig(delta=1e-8, mode="relative"), ts.labels)
+        with pytest.raises(MissingFeatureSample, match="analytic"):
+            beta_from_alpha(ts, alpha)
 
 
 class TestBetaClosedForm:
@@ -127,7 +113,7 @@ class TestBetaClosedForm:
             delta = t**1.5
             km = assemble_gram(ts, MonteCarlo(fs))
             alpha = tikhonov_solve(km, TikhonovConfig(delta=delta), ts.labels)
-            sampled = beta_from_alpha(ts, alpha, fs)
+            sampled = beta_from_alpha(ts, alpha)
             closed = beta_closed_form(phi, v, t, delta, kappa, g, fs)
             active = np.abs(closed.beta2) > 0
             d1 = np.abs(closed.beta1[active] - sampled.beta1[active]).max() / np.abs(closed.beta1[active]).max()
@@ -141,7 +127,7 @@ class TestPredict:
         ts, *_ = _training_set()
         zero_ts = shift_set(ts.realization, ts.direction, ts.t, LinearTarget(a=[0.0, 0.0], b=0.0))
         alpha = tikhonov_solve(assemble_gram(zero_ts, ANALYTIC), TikhonovConfig(delta=0.5), zero_ts.labels)
-        pred = PointWisePredictor(training=zero_ts, alpha=alpha, mode=ANALYTIC)
+        pred = PointWisePredictor(training=zero_ts, alpha=alpha)
         for x in ([0.0, 0.0], [1.0, -1.0], [10.0, 3.0]):
             assert predict(pred, Point(x)) == 0.0
 
@@ -152,7 +138,7 @@ class TestPredict:
         delta = 0.25
         km = assemble_gram(ts, ANALYTIC)
         alpha = tikhonov_solve(km, TikhonovConfig(delta=delta), ts.labels)
-        pred = PointWisePredictor(training=ts, alpha=alpha, mode=ANALYTIC)
+        pred = PointWisePredictor(training=ts, alpha=alpha)
         z = Point(ts.shifted[0])
         kzz = km.entries[0, 0]
         expected = kzz / (kzz + delta) * 2.0
@@ -164,8 +150,8 @@ class TestPredict:
         fs = sample_features(2, 10**4, seed=44)
         km = assemble_gram(ts, MonteCarlo(fs))
         alpha = tikhonov_solve(km, TikhonovConfig(delta=1e-8, mode="relative"), ts.labels)
-        pw = PointWisePredictor(training=ts, alpha=alpha, mode=MonteCarlo(fs))
-        fsp = FeatureSpacePredictor(beta=beta_from_alpha(ts, alpha, fs))
+        pw = PointWisePredictor(training=ts, alpha=alpha)
+        fsp = FeatureSpacePredictor(beta=beta_from_alpha(ts, alpha))
         rng = np.random.default_rng(21)
         for _ in range(100):
             x = Point(rng.uniform(-3, 3, 2))
@@ -187,19 +173,30 @@ class TestBatchedPredict:
         rng = np.random.default_rng(seed)
         phi = Realization(tuple(Point(r) for r in rng.uniform(-1, 1, (n, 2))))
         ts = shift_set(phi, Direction(rng.standard_normal(2)), t, SinusoidalTarget(u=[1.3, -0.7], phase=0.4))
-        alpha = AlphaVector(values=rng.standard_normal(n), delta=1.0)
-        fs = sample_features(2, k, seed=seed)
+        values = rng.standard_normal(n)
+        analytic = AlphaVector(values=values, delta=1.0)
+        sampled = AlphaVector(values=values, delta=1.0, mode=MonteCarlo(sample_features(2, k, seed=seed)))
         xs = rng.uniform(-3, 3, (m, 2))
-        predictors = [
-            PointWisePredictor(training=ts, alpha=alpha, mode=ANALYTIC),
-            PointWisePredictor(training=ts, alpha=alpha, mode=MonteCarlo(fs)),
-            FeatureSpacePredictor(beta=beta_from_alpha(ts, alpha, fs)),
-        ]
-        for pred in predictors:
+        xa = np.hstack([xs, np.ones((m, 1))])
+        for pred in (
+            PointWisePredictor(training=ts, alpha=analytic),
+            PointWisePredictor(training=ts, alpha=sampled),
+            FeatureSpacePredictor(beta=beta_from_alpha(ts, sampled)),
+        ):
             batch = predict(pred, xs)
             assert batch.shape == (m,)
+            if isinstance(pred, PointWisePredictor):
+                # The kernel is evaluated under the mode alpha carries.
+                kernel = kernel_matrix(xa, ts.augmented, pred.alpha.mode)
+                assert np.array_equal(batch, np.vecdot(kernel, pred.alpha.values))
             for i in range(m):
                 assert batch[i] == predict(pred, Point(xs[i]))
+
+    def test_alpha_of_another_length_rejected_at_construction(self):
+        ts, *_ = _training_set()
+        for size in (ts.n - 1, ts.n + 1):
+            with pytest.raises(DimensionError, match="alpha size"):
+                PointWisePredictor(training=ts, alpha=AlphaVector(values=np.ones(size), delta=1.0))
 
     def test_point_gives_float(self):
         ts, *_ = _training_set()
@@ -208,11 +205,10 @@ class TestBatchedPredict:
 
     def test_rejects_flat_or_wrong_width_arrays(self):
         ts, *_ = _training_set()
-        fs = sample_features(2, 16, seed=4)
-        alpha = AlphaVector(values=np.ones(ts.n), delta=1.0)
+        alpha = AlphaVector(values=np.ones(ts.n), delta=1.0, mode=MonteCarlo(sample_features(2, 16, seed=4)))
         for pred in (
             PointWisePredictor(training=ts, alpha=alpha),
-            FeatureSpacePredictor(beta=beta_from_alpha(ts, alpha, fs)),
+            FeatureSpacePredictor(beta=beta_from_alpha(ts, alpha)),
         ):
             with pytest.raises(DimensionError):
                 predict(pred, np.array([0.1, 0.2]))

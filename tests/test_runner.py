@@ -86,6 +86,20 @@ class TestConfigs:
             load_config("theorem1", path)
         assert main(["theorem1", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 1
 
+    @pytest.mark.parametrize("sub, overlay, key", [
+        ("farfield", {"mode": "mc"}, "mode"),
+        ("inverse-check", {"bias_sensitivity": {"d": 2}}, "bias_sensitivity.d"),
+        ("inverse-check", {"bias_sensitivity": {"n": 2}}, "bias_sensitivity.n"),
+    ], ids=["farfield-mode", "bias-sensitivity-d", "bias-sensitivity-n"])
+    def test_keys_that_changed_nothing_are_unknown(self, tmp_path, sub, overlay, key):
+        # farfield is analytic only and the sensitivity block takes d and n
+        # from its points, so none of these keys is read.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(overlay))
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            load_config(sub, path)
+        assert main([sub, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+
     def test_nested_overlay_merges_key_by_key(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"bias_sensitivity": {"probes": 5}}))
@@ -239,6 +253,17 @@ class TestSweepScience:
         res = RUNNERS["theorem1"](cfg)
         # 3 shifts x (8 random + shift direction + orthogonal) directions.
         assert len(res.rows) == 30
+
+    def test_sensitivity_rows_count_the_points_they_use(self):
+        cfg = small_config("inverse-check")
+        cfg["bias_sensitivity"]["points"] = [[0.3, -0.4], [0.1, 0.2], [-0.5, 0.6]]
+        cfg["bias_sensitivity"]["probes"] = 4
+        res = RUNNERS["inverse-check"](cfg)
+        idx = {h: i for i, h in enumerate(res.header)}
+        rows = [row for row in res.rows if row[idx["check"]].startswith(("beta1_", "beta2_"))]
+        # Two sensitivity rows per t, and the scaling row.
+        assert len(rows) == 5
+        assert all(row[idx["n"]] == 3 for row in rows)
 
     def test_farfield_linear_target_classified_linear(self):
         cfg = default_config("farfield")
