@@ -27,7 +27,7 @@ Ties follow the ">= 0" convention: an exactly-zero pre-activation indicates 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -174,8 +174,9 @@ def _mc_integrand(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray) -> Iterat
     for out, y in zip(sy, ys):
         np.matmul(weights, y, out=out)
     fy = np.greater_equal(sy, 0.0, out=np.empty_like(sy))
-    sx = np.empty(k)
-    fx = np.empty(k)
+    if xs is not ys:
+        sx = np.empty(k)
+        fx = np.empty(k)
     block = np.empty_like(sy)
     for i, dots in enumerate(np.vecdot(xs[:, None, :], ys[None, :, :])):
         if xs is ys:
@@ -222,25 +223,79 @@ def ntk(x: AugmentedPoint | np.ndarray, y: AugmentedPoint | np.ndarray, mode: Ke
     return KernelEstimate(value=float(_arc_cosine(xs, ys)[0, 0]))
 
 
+# Weight rows per tile of the diagonal integrand. A multiple of 16, so a tile
+# boundary never splits a group of rows that a BLAS matrix-vector kernel
+# computes together: each row of a tile goes through the same kernel code as
+# in one product over the whole chunk, and gets the same bits.
+DIAGONAL_TILE = 4096
+
+
+def _tiles(n: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of the tiles over n rows: DIAGONAL_TILE rows each but the
+    last, which holds the rest and so at most DIAGONAL_TILE + 1 rows.
+
+    A lone last row joins the tile before it, because numpy computes a one-row
+    matrix-vector product as a dot product, which sums in another order than
+    the row did in the whole product. A single row stays alone, as it is in
+    the whole product too.
+    """
+    start = 0
+    while start < n:
+        stop = n if n - start <= DIAGONAL_TILE + 1 else start + DIAGONAL_TILE
+        yield start, stop
+        start = stop
+
+
+def _fill_diagonal(x: np.ndarray, out: np.ndarray, rows: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """Fill `out` with the integrand at the pair (x, x), one tile at a time.
+
+    `rows(start, stop)` gives the weight rows start:stop, so a tile of weights
+    can be drawn just before it is used. Each tile applies the op sequence of
+    `_mc_integrand` at (x, x): pre-activations s, the float mask of s >= 0,
+    then `((x.x + s*s) * mask) * mask`, with s and the sum written straight
+    into `out`. Apart from `out`, only one tile-length mask is allocated.
+    """
+    row = x[None, None, :]
+    dot = np.vecdot(row, row)[0, 0]
+    mask = np.empty(min(DIAGONAL_TILE + 1, out.size))
+    for start, stop in _tiles(out.size):
+        s = out[start:stop]
+        f = mask[: s.size]
+        np.matmul(rows(start, stop), x, out=s)
+        np.greater_equal(s, 0.0, out=f)
+        np.multiply(s, s, out=s)
+        np.add(dot, s, out=s)
+        s *= f
+        s *= f
+    return out
+
+
 def streamed_diagonal(x: AugmentedPoint | np.ndarray, count: int, chunk: int, seed: int) -> float:
     """Monte Carlo estimate of k(x, x) over `count` features drawn from
     `default_rng(seed)` in chunks of at most `chunk` rows.
 
-    Only one chunk of weights is held at a time, so the feature count is
-    bounded by time rather than memory. With a single chunk the draws, and the
-    value, equal `ntk(x, x, MonteCarlo(sample_features(d, count, seed)))`.
+    Each chunk is drawn and integrated one tile of `DIAGONAL_TILE` weight rows
+    at a time, in the generator's order, into one chunk-length vector that is
+    summed once. So only one tile of weights is held, memory is about one
+    chunk-length float64 vector, and the feature count is bounded by time
+    rather than memory. With a single chunk the draws, and the value, equal
+    `ntk(x, x, MonteCarlo(sample_features(d, count, seed)))`.
     """
     if count < 1 or chunk < 1:
         raise InvalidInput(f"feature count and chunk must be >= 1, got {count} and {chunk}")
     row = _aug_coords(x)[None]
     xs, _ = _row_pair(row, row)
+    x = xs[0]
     gen = np.random.default_rng(seed)
-    buf = np.empty((min(chunk, count), xs.shape[1]))
+    contribs = np.empty(min(chunk, count))
+    tile = np.empty((min(DIAGONAL_TILE + 1, contribs.size), x.size))
+
+    def draw(start: int, stop: int) -> np.ndarray:
+        return gen.standard_normal(out=tile[: stop - start])
+
     total = 0.0
     for start in range(0, count, chunk):
-        weights = buf[: min(chunk, count - start)]
-        gen.standard_normal(out=weights)
-        total += float(next(_mc_integrand(xs, xs, weights))[0].sum())
+        total += float(_fill_diagonal(x, contribs[: min(chunk, count - start)], draw).sum())
     return total / count
 
 
@@ -251,11 +306,19 @@ def kappa(v: Direction, mode: KernelMode) -> KernelEstimate:
     In analytic mode this equals |v|^2 under standard normal features: the
     half-space carries probability 1/2 and contributes |v|^2/2 from each of the
     two integrand terms. The integrand is 2-homogeneous in v.
+
+    In Monte Carlo mode it is the kernel integrand at the pair (-v_hat, -v_hat),
+    integrated tile by tile over the sample into one K-length vector of
+    contributions, so the estimate needs about two K-length vectors (the
+    contributions and the standard error's deviations) besides the sample.
     """
     if isinstance(mode, MonteCarlo):
-        # The kernel integrand at the pair (-v_hat, -v_hat).
-        lim = -v.augmented()[None]
-        return _estimate(next(_mc_integrand(lim, lim, mode.features.weights))[0])
+        weights = mode.features.weights
+        lim = -v.augmented()
+        if weights.shape[1] != lim.size:
+            raise DimensionError(f"feature dim {weights.shape[1]} != augmented dim {lim.size}")
+        contribs = _fill_diagonal(lim, np.empty(weights.shape[0]), lambda start, stop: weights[start:stop])
+        return _estimate(contribs)
     return KernelEstimate(value=float(v.norm**2))
 
 

@@ -64,8 +64,22 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The fields each target kind reads, besides `kind`.
+_TARGET_FIELDS = {"linear": {"a", "b"}, "quadratic": {"q", "a", "b"}, "sinusoidal": {"u", "phase"}}
+
+
 def target_from_config(spec: dict) -> TargetFunction:
+    """The target a spec describes; an unknown kind, a missing or malformed
+    field, or a field its kind does not read is a ConfigError."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"target spec must be an object, got {spec!r}")
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _TARGET_FIELDS:
+        raise ConfigError(f"unknown target kind {spec!r}")
+    extra = sorted(set(spec) - _TARGET_FIELDS[kind] - {"kind"})
+    if extra:
+        allowed = sorted(_TARGET_FIELDS[kind])
+        raise ConfigError(f"{kind} target has fields {extra} it does not read; allowed: {allowed}")
     try:
         if kind == "linear":
             return LinearTarget(a=np.asarray(spec["a"], dtype=float), b=float(spec.get("b", 0.0)))
@@ -75,11 +89,9 @@ def target_from_config(spec: dict) -> TargetFunction:
                 a=np.asarray(spec["a"], dtype=float),
                 b=float(spec.get("b", 0.0)),
             )
-        if kind == "sinusoidal":
-            return SinusoidalTarget(u=np.asarray(spec["u"], dtype=float), phase=float(spec.get("phase", 0.0)))
+        return SinusoidalTarget(u=np.asarray(spec["u"], dtype=float), phase=float(spec.get("phase", 0.0)))
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed {kind} target spec {spec!r}") from exc
-    raise ConfigError(f"unknown target kind {spec!r}")
 
 
 def delta_from_config(spec: dict) -> gram.TikhonovConfig:
@@ -190,7 +202,9 @@ def run_theorem1(cfg: dict) -> RunResult:
     rng, phi, g, v_phi = _scenario(cfg)
     directions = evaluation_directions(cfg, rng)
     delta_cfg = delta_from_config(cfg["delta"])
-    mc = cfg.get("mode", "analytic") == "mc"
+    if cfg["mode"] not in ("analytic", "mc"):
+        raise ConfigError(f"theorem1 mode must be 'analytic' or 'mc', got {cfg['mode']!r}")
+    mc = cfg["mode"] == "mc"
     fs = kernel.sample_features(int(cfg["d"]), int(cfg["k_features"]), int(cfg["seed"]) + 1) if mc else None
     mode = kernel.MonteCarlo(fs) if mc else kernel.ANALYTIC
     kappa_val = kernel.kappa(v_phi, mode).value
@@ -490,6 +504,8 @@ def run_kappa(cfg: dict) -> RunResult:
             v = Direction(vrng.standard_normal(d) * 2.0)
             fs = kernel.sample_features(d, int(cfg["kappa_k_features"]), seed + 500 + i)
             est = kernel.kappa(v, kernel.MonteCarlo(fs))
+            # Release this sample before the next direction draws its own.
+            del fs
             out.append(oracle_row("kappa", d, f"v{i}", kernel.kappa(v, kernel.ANALYTIC).value, est))
         return out
 

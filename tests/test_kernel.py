@@ -4,6 +4,8 @@ The analytic arc-cosine expression is validated here against the Monte Carlo
 estimator before anything downstream gets to rely on it.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -403,17 +405,40 @@ def _reference_diagonal(xa, count, chunk, seed):
     return total / n
 
 
+TILE = kernel.DIAGONAL_TILE
+
+# Feature counts of up to three whole tiles plus an odd, ragged last tile.
+several_tiles = st.builds(
+    lambda tiles, rest: tiles * TILE + 2 * rest + 1, st.integers(0, 3), st.integers(0, TILE // 2 - 1)
+)
+
+
 class TestStreamedDiagonal:
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), k=st.integers(1, 3000), spare=st.integers(0, 5))
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 5),
+        k=st.one_of(st.integers(1, 3000), several_tiles),
+        spare=st.integers(0, 5),
+    )
     def test_one_chunk_equals_ntk_bit_for_bit(self, seed, d, k, spare):
         x = augment(np.random.default_rng(seed).uniform(-2.0, 2.0, d))
         want = ntk(x, x, MonteCarlo(sample_features(d, k, seed))).value
         assert streamed_diagonal(x, k, k + spare, seed) == want
 
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), k=st.integers(1, 3000), chunk=st.integers(1, 700))
-    def test_chunks_equal_reference_loop_bit_for_bit(self, seed, d, k, chunk):
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 5),
+        # Chunks that fit in one tile, or chunks from a third of a tile to
+        # three tiles over a count of several tiles.
+        sizes=st.one_of(
+            st.tuples(st.integers(1, 3000), st.integers(1, 700)),
+            st.tuples(several_tiles, st.integers(TILE // 3, 3 * TILE + 100)),
+        ),
+    )
+    def test_chunks_equal_reference_loop_bit_for_bit(self, seed, d, sizes):
+        k, chunk = sizes
         x = augment(np.random.default_rng(seed).uniform(-2.0, 2.0, d))
         assert streamed_diagonal(x, k, chunk, seed) == _reference_diagonal(x.coords, k, chunk, seed)
 
@@ -422,6 +447,86 @@ class TestStreamedDiagonal:
         for count, chunk in ((0, 10), (10, 0)):
             with pytest.raises(InvalidInput):
                 streamed_diagonal(x, count, chunk, seed=1)
+
+
+class TestDiagonalTiles:
+    """The diagonal integrand runs tile by tile; at sizes that span several
+    tiles it keeps the bits of the whole-sample pair path."""
+
+    def test_tile_is_a_multiple_of_16(self):
+        assert TILE % 16 == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), k=several_tiles)
+    def test_fill_equals_pair_integrand_bit_for_bit(self, seed, d, k):
+        weights = sample_features(d, k, seed).weights
+        xs = _augmented_rows(np.random.default_rng(seed), 1, d, 0.0)
+        got = kernel._fill_diagonal(xs[0], np.empty(k), lambda start, stop: weights[start:stop])
+        assert _same_bits(got, next(kernel._mc_integrand(xs, xs, weights))[0])
+        assert _same_bits(got, next(_reference_integrand(xs, xs, weights))[0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_lone_last_row_keeps_its_bits(self, d):
+        # A one-row product sums like a dot product, so a tile of one row
+        # would change the last value in about half of these cases.
+        for seed in range(6):
+            weights = sample_features(d, 2 * TILE + 1, seed).weights
+            xs = _augmented_rows(np.random.default_rng(seed), 1, d, 0.0)
+            got = kernel._fill_diagonal(xs[0], np.empty(len(weights)), lambda start, stop: weights[start:stop])
+            assert _same_bits(got, next(kernel._mc_integrand(xs, xs, weights))[0])
+
+    def test_tiles_cover_the_rows_once(self):
+        for n in (1, 2, TILE, TILE + 1, TILE + 2, 3 * TILE + 1, 3 * TILE + 777):
+            bounds = list(kernel._tiles(n))
+            assert [start for start, _ in bounds] == [0, *(stop for _, stop in bounds[:-1])]
+            assert bounds[-1][1] == n
+            assert all(start % TILE == 0 for start, _ in bounds)
+            assert n == 1 or all(2 <= stop - start <= TILE + 1 for start, stop in bounds)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), k=several_tiles)
+    def test_kappa_equals_reference_estimate_bit_for_bit(self, seed, d, k):
+        direction = Direction(np.random.default_rng(seed).standard_normal(d))
+        fs = sample_features(d, k, seed)
+        lim = -direction.augmented()[None]
+        value, se = _reference_estimate(next(_reference_integrand(lim, lim, fs.weights))[0])
+        est = kappa(direction, MonteCarlo(fs))
+        assert _same_bits(est.value, value) and _same_bits(est.std_error, se)
+
+    def test_kappa_feature_dimension_checked(self):
+        with pytest.raises(DimensionError):
+            kappa(Direction([0.6, 0.8]), MonteCarlo(sample_features(3, 10, seed=1)))
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc (numpy's data buffers included) while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Room for the interpreter's own small allocations during a call.
+SLACK = 64 * 1024
+
+
+class TestDiagonalMemory:
+    def test_streamed_diagonal_holds_one_chunk_vector_and_one_tile(self):
+        # Two and a bit chunks: the chunk-length vector and the tile are reused.
+        d, chunk = 5, 200_000
+        x = augment(np.random.default_rng(3).uniform(-2.0, 2.0, d))
+        weights_tile, mask = 8 * (TILE + 1) * (d + 1), 8 * (TILE + 1)
+        peak = _traced_peak(lambda: streamed_diagonal(x, 2 * chunk + 1, chunk, seed=3))
+        assert peak <= 8 * chunk + weights_tile + mask + SLACK
+
+    def test_kappa_needs_two_sample_length_vectors(self):
+        # The contributions and the deviations of the standard error.
+        k = 200_000
+        fs = sample_features(2, k, seed=4)
+        peak = _traced_peak(lambda: kappa(Direction([1.0, 2.0]), MonteCarlo(fs)))
+        assert peak <= 2 * 8 * k + SLACK
 
 
 class TestAgnosticismRate:

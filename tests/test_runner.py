@@ -1,12 +1,24 @@
 """Sweep orchestration: configs, determinism, cell isolation, CLI contract."""
 
 import json
+import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ntkorigin import ConfigError, Direction, agnosticism_rate, calculus, sample_features, shift_set
+from ntkorigin import (
+    ConfigError,
+    Direction,
+    LinearTarget,
+    QuadraticTarget,
+    SinusoidalTarget,
+    agnosticism_rate,
+    calculus,
+    sample_features,
+    shift_set,
+)
 from ntkorigin.cli import main
 from ntkorigin.configs import DEFAULTS, default_config
 from ntkorigin.runner import (
@@ -15,6 +27,7 @@ from ntkorigin.runner import (
     realization_from_config,
     render_csv,
     run_farfield,
+    run_kappa,
     run_theorem1,
     target_from_config,
     write_csv,
@@ -125,6 +138,53 @@ class TestConfigs:
         assert load_config("farfield", path)["target"] == {"kind": "sinusoidal", "u": [1.3, -0.7], "phase": 0.0}
         path.write_text(json.dumps({"target": {"kind": "sinusoidal", "phase": 0.0}}))
         assert load_config("farfield", path)["target"] == {"kind": "sinusoidal", "u": [1.3, -0.7], "phase": 0.0}
+
+    @pytest.mark.parametrize("spec, extra", [
+        ({"kind": "linear", "a": [1.0, 0.0], "u": [5.0, 5.0], "phse": 1}, ["phse", "u"]),
+        ({"kind": "quadratic", "q": [[1.0, 0.0], [0.0, 1.0]], "a": [1.0, 0.0], "phase": 0.1}, ["phase"]),
+        ({"kind": "sinusoidal", "u": [1.0, 0.0], "b": 2.0}, ["b"]),
+    ], ids=["linear", "quadratic", "sinusoidal"])
+    def test_target_field_of_another_kind_is_a_config_error(self, tmp_path, capsys, spec, extra):
+        with pytest.raises(ConfigError, match=re.escape(f"fields {extra}")):
+            target_from_config(spec)
+        # A sinusoidal overlay merges into the default target, whose keys
+        # reject the field first; the other kinds reach target_from_config.
+        path = tmp_path / "cfg.json"
+        for sub, overlay in (("farfield", {"target": spec}),
+                             ("inverse-check", {"bias_sensitivity": {"target": spec}})):
+            path.write_text(json.dumps(overlay))
+            out = tmp_path / "out.csv"
+            assert main([sub, "--config", str(path), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert all(f"{name}'" in err for name in extra)
+            assert not out.exists()
+
+    @pytest.mark.parametrize("spec", [[1.0, 0.0], {"kind": ["linear"]}, {"kind": "cubic", "a": [1.0, 0.0]}],
+                             ids=["not-an-object", "kind-not-a-string", "unknown-kind"])
+    def test_target_spec_of_no_known_kind_is_a_config_error(self, tmp_path, spec):
+        with pytest.raises(ConfigError):
+            target_from_config(spec)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target": spec}))
+        out = tmp_path / "out.csv"
+        assert main(["farfield", "--config", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_target_with_every_field_of_its_kind_loads(self):
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        for spec, cls in (({"kind": "linear", "a": [1.0, 0.0], "b": 0.5}, LinearTarget),
+                          ({"kind": "quadratic", "q": eye, "a": [1.0, 0.0], "b": 0.5}, QuadraticTarget),
+                          ({"kind": "sinusoidal", "u": [1.0, 0.0], "phase": 0.5}, SinusoidalTarget)):
+            assert isinstance(target_from_config(spec), cls)
+
+    @pytest.mark.parametrize("mode", ["MC", "Analytic", "montecarlo", ""])
+    def test_theorem1_mode_other_than_analytic_or_mc_is_a_config_error(self, tmp_path, capsys, mode):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mode": mode}))
+        out = tmp_path / "t.csv"
+        assert main(["theorem1", "--config", str(path), "--out", str(out)]) == 1
+        assert "theorem1 mode must be 'analytic' or 'mc'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("sub, overlay", [
         ("inverse-check", {"bias_sensitivity": {"delta": 5}}),
@@ -319,3 +379,19 @@ class TestSweepScience:
         ts = shift_set(phi, Direction(cfg["v_phi"]), 3.0, target_from_config(cfg["target"]))
         expected = agnosticism_rate(ts, sample_features(2, 2000, expected_seed))
         assert res.rows[0][idx["agnosticism_rate"]] == expected
+
+    def test_kappa_rows_hold_one_sample_at_a_time(self):
+        # Directions alternate d=2 and d=3. The peak is one d=3 sample plus
+        # the two K-length vectors of its estimate; holding the previous
+        # sample while the next is drawn, or the integrand's K-length
+        # temporaries, would go above it.
+        k = 200_000
+        cfg = small_config("kappa", pair_dims=[], kappa_directions=3, kappa_k_features=k)
+        tracemalloc.start()
+        try:
+            res = run_kappa(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.failures == 0
+        assert peak <= 8 * k * 4 + 2 * 8 * k + 128 * 1024
