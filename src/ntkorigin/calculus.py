@@ -144,18 +144,14 @@ def directional_derivative(
 
 @dataclass(frozen=True, eq=False)
 class ExtrapolationProfile:
-    """Sampled values of f along base + s*v with a least-squares polynomial fit.
+    """A least-squares polynomial fit of f along base + s*v at the sampled offsets s.
 
     `coefficients[j]` multiplies s^j. `normalized[j]` multiplies (s/radius)^j;
     these carry the fit's conditioning and feed ratio diagnostics, since they
     compare term magnitudes at the window edge rather than raw derivatives.
     """
 
-    base: Point
-    direction: Direction
-    radius: float
     offsets: np.ndarray
-    values: np.ndarray
     coefficients: np.ndarray
     normalized: np.ndarray
     residual: float
@@ -206,16 +202,7 @@ def fit_profile(
         raise FitFailure(f"rank-deficient fit: rank {rank} < {degmax + 1}")
     resid = float(np.sqrt(np.mean((vander @ sol - vals) ** 2)))
     coeffs = sol / radius ** np.arange(degmax + 1)
-    return ExtrapolationProfile(
-        base=base,
-        direction=v,
-        radius=float(radius),
-        offsets=offsets,
-        values=vals,
-        coefficients=coeffs,
-        normalized=sol,
-        residual=resid,
-    )
+    return ExtrapolationProfile(offsets=offsets, coefficients=coeffs, normalized=sol, residual=resid)
 
 
 _LABELS = {0: "constant", 1: "linear", 2: "quadratic"}

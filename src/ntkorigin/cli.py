@@ -14,7 +14,7 @@ import argparse
 import sys
 import time
 
-from .errors import ConfigError
+from .errors import ConfigError, NtkOriginError
 from .runner import RUNNERS, load_config, write_csv
 
 
@@ -47,9 +47,11 @@ def main(argv=None) -> int:
         print(json.dumps(cfg, indent=2, sort_keys=True))
         return 0
     started = time.perf_counter()
+    # Every cell is isolated, so a library error that escapes a runner was
+    # raised while it read the config.
     try:
         result = RUNNERS[args.subcommand](cfg)
-    except ConfigError as exc:
+    except NtkOriginError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     out = args.out or cfg.get("out") or f"{cfg['name']}.csv"

@@ -64,9 +64,6 @@ class AugmentedPoint:
         """Dimension of the underlying data point (bias excluded)."""
         return self.coords.size - 1
 
-    def drop_bias(self) -> Point:
-        return Point(self.coords[:-1])
-
 
 @dataclass(frozen=True)
 class Direction:

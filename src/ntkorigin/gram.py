@@ -68,13 +68,6 @@ class GramMatrix:
     def mean_diagonal(self) -> float:
         return float(np.mean(np.diag(self.entries)))
 
-    @property
-    def is_degenerate(self) -> bool:
-        return bool(np.all(self.entries == 0.0))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
 
 @dataclass(frozen=True)
 class TikhonovConfig:
@@ -124,12 +117,11 @@ class AlphaVector:
 def assemble_gram(ts: ShiftedTrainingSet, mode: KernelMode) -> GramMatrix:
     """Pairwise kernel matrix of the shifted training inputs.
 
-    The upper triangle is mirrored onto the lower, which makes symmetry exact
-    in floating point. Every kept entry matches a scalar `ntk` call bit for bit.
+    `kernel_matrix` of a set with itself is exactly symmetric in both modes,
+    which `GramMatrix` checks. Every entry matches a scalar `ntk` call bit for bit.
     """
     a = ts.augmented
-    out = kernel_matrix(a, a, mode)
-    return GramMatrix(entries=np.triu(out) + np.triu(out, 1).T, mode=mode)
+    return GramMatrix(entries=kernel_matrix(a, a, mode), mode=mode)
 
 
 def asymptotic_gram(n: int, kappa: float, t: float) -> GramMatrix:

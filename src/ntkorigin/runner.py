@@ -1,12 +1,13 @@
 """Experiment orchestration: deterministic sweeps and CSV reports.
 
 Each subcommand maps a scenario configuration to a list of cells, each the
-key columns that precede `status` and a thunk returning the cell's rows. One
-executor runs the cells of every subcommand on `threads` workers, keeps them
-in sweep order and appends the summary rows derived from the ordered rows.
-A cell that raises gives one stub row instead, its key and
-`error:<ExceptionName>` padded with empty cells to the header's width, and
-the sweep continues. A run's failures are its rows whose status starts with
+columns its failure stub keeps and a thunk returning the cell's records, dicts
+from column name to value. One executor runs the cells of every subcommand on
+`threads` workers in sweep order, appends the summary records derived from the
+ok ones, fills `scenario` from the config's name and lays each record out in
+its header's order, a column it does not name left empty. A cell that raises
+gives one stub record instead, its key and `error:<ExceptionName>`, and the
+sweep continues. A run's failures are its rows whose status starts with
 `error:`, stubs and failed checks alike. Floats are serialized with 17
 significant digits, so a rerun of the same configuration produces a
 byte-identical file at any thread count. Timing never enters the CSV for the
@@ -152,36 +153,34 @@ class RunResult:
 
 @dataclass(frozen=True)
 class Cell:
-    """One isolated unit of a sweep: the key columns before `status`, and a thunk returning its rows."""
+    """One isolated unit of a sweep: the columns its failure stub keeps, and a thunk returning its records."""
 
-    key: list
-    rows: Callable[[], list[list]]
+    key: dict
+    rows: Callable[[], list[dict]]
 
 
-def _guard(cell: Cell, width: int) -> list[list]:
-    """Run one cell; on error emit a single stub row with the exception name."""
+def _guard(cell: Cell) -> list[dict]:
+    """Run one cell; on error emit a single stub record with the exception name."""
     try:
         return cell.rows()
     except Exception as exc:  # cell isolation is the contract here
-        stub = [*cell.key, f"error:{type(exc).__name__}"]
-        return [stub + [None] * (width - len(stub))]
+        return [{**cell.key, "status": f"error:{type(exc).__name__}"}]
 
 
 def _execute(header: list[str], cells: list[Cell], cfg: dict,
-             extra: Callable[[list[list]], list[list]] = lambda rows: []) -> RunResult:
-    """Run the cells on `threads` workers in sweep order, then append the
-    summary rows `extra` derives from the ordered cell rows. Failures are the
-    rows whose status starts with `error:`, stubs and failed checks alike."""
-    per_cell = _map_cells(lambda cell: _guard(cell, len(header)), cells, int(cfg.get("threads", 1)))
-    rows = [row for got in per_cell for row in got]
-    rows.extend(extra(rows))
-    status = header.index("status")
-    return RunResult(header, rows, sum(row[status].startswith("error:") for row in rows))
-
-
-def _ok_records(header: list[str], rows: list[list]) -> list[dict]:
-    """The rows whose status is ok, in order, as dicts keyed by column name."""
-    return [rec for rec in (dict(zip(header, row)) for row in rows) if rec["status"] == "ok"]
+             extra: Callable[[list[dict]], list[dict]] = lambda records: []) -> RunResult:
+    """Run the cells on `threads` workers in sweep order, append the summary
+    records `extra` derives from the ok ones, and lay every record out in the
+    header's order under the config's `scenario` name. A record naming a
+    column outside the header is a programming error and raises KeyError."""
+    per_cell = _map_cells(_guard, cells, int(cfg.get("threads", 1)))
+    records = [rec for got in per_cell for rec in got]
+    records.extend(extra([rec for rec in records if rec["status"] == "ok"]))
+    unknown = set().union(*records) - set(header)
+    if unknown:
+        raise KeyError(f"columns {sorted(unknown)} are not in the header {header}")
+    rows = [[cfg["name"] if col == "scenario" else rec.get(col) for col in header] for rec in records]
+    return RunResult(header, rows, sum(rec["status"].startswith("error:") for rec in records))
 
 
 def _scenario(cfg: dict) -> tuple[np.random.Generator, Realization, TargetFunction, Direction]:
@@ -208,32 +207,31 @@ def run_theorem1(cfg: dict) -> RunResult:
     fs = kernel.sample_features(int(cfg["d"]), int(cfg["k_features"]), int(cfg["seed"]) + 1) if mc else None
     mode = kernel.MonteCarlo(fs) if mc else kernel.ANALYTIC
     kappa_val = kernel.kappa(v_phi, mode).value
+    kap_ana = kernel.kappa(v_phi, kernel.ANALYTIC).value
     origin = Point(np.zeros(int(cfg["d"])))
     radius = float(cfg["radius"])
     m = int(cfg["profile_points"])
     degmax = int(cfg["degmax"])
     eq_rng_seed = int(cfg["seed"]) + 2
 
-    def cell_rows(t: float) -> list[list]:
+    def cell_rows(t: float) -> list[dict]:
         ts = shift_set(phi, v_phi, t, g)
         km = gram.assemble_gram(ts, mode)
-        delta = delta_cfg.resolve(km)
         alpha = gram.tikhonov_solve(km, delta_cfg, ts.labels)
         predictor = regression.PointWisePredictor(training=ts, alpha=alpha)
-        kap_ana = v_phi.norm**2
         limit_err = float(np.abs(km.entries / t**2 - kap_ana).max())
         rate = kernel.agnosticism_rate(ts, fs) if mc else None
+        common = {"t": t, "delta": alpha.delta, "status": "ok", "kappa": kappa_val,
+                  "gram_limit_error": limit_err, "agnosticism_rate": rate}
         out = []
         for name, vdir, is_orth in directions:
             prof = calculus.fit_profile(
                 lambda xs: regression.predict(predictor, xs), origin, vdir, radius, m, degmax
             )
             cls = calculus.classify(prof)
-            out.append([
-                cfg["name"], t, delta, name, is_orth, "ok",
-                *prof.coefficients[:5], cls.ratio32, cls.ratio42, cls.label,
-                kappa_val, limit_err, rate, None,
-            ])
+            out.append({**common, "direction": name, "orthogonal": is_orth,
+                        **{f"c{j}": c for j, c in enumerate(prof.coefficients[:5])},
+                        "ratio32": cls.ratio32, "ratio42": cls.ratio42, "classification": cls.label})
         if mc:
             beta = regression.beta_from_alpha(ts, alpha)
             fsp = regression.FeatureSpacePredictor(beta=beta)
@@ -242,14 +240,10 @@ def run_theorem1(cfg: dict) -> RunResult:
             fp = regression.predict(predictor, xs)
             ff = regression.predict(fsp, xs)
             dev = float(np.max(np.abs(fp - ff) / (1.0 + np.abs(fp)), initial=0.0))
-            out.append([
-                cfg["name"], t, delta, "equivalence", False, "ok",
-                None, None, None, None, None, None, None, None,
-                kappa_val, limit_err, rate, dev,
-            ])
+            out.append({**common, "direction": "equivalence", "orthogonal": False, "equivalence_dev": dev})
         return out
 
-    cells = [Cell([cfg["name"], t, None, "all", None], partial(cell_rows, t)) for t in map(float, cfg["t_list"])]
+    cells = [Cell({"t": t, "direction": "all"}, partial(cell_rows, t)) for t in map(float, cfg["t_list"])]
     return _execute(THEOREM1_HEADER, cells, cfg)
 
 
@@ -272,7 +266,7 @@ def run_farfield(cfg: dict) -> RunResult:
     m = int(cfg["profile_points"])
     degmax = int(cfg["degmax"])
 
-    def cell_rows(name: str, vdir: Direction) -> list[list]:
+    def cell_rows(name: str, vdir: Direction) -> list[dict]:
         base = Point(center * vdir.coords)
         prof = calculus.fit_profile(
             lambda xs: regression.predict(predictor, xs), base, vdir, radius, m, degmax
@@ -280,9 +274,12 @@ def run_farfield(cfg: dict) -> RunResult:
         cls = calculus.classify(prof)
         mags = np.abs(prof.normalized)
         ratio21 = float(mags[2]) / max(float(mags[1]), 1e-10)
-        return [[cfg["name"], center, radius, name, "ok", *prof.coefficients[:5], ratio21, cls.label]]
+        return [{"center": center, "radius": radius, "direction": name, "status": "ok",
+                 **{f"c{j}": c for j, c in enumerate(prof.coefficients[:5])},
+                 "ratio21": ratio21, "classification": cls.label}]
 
-    cells = [Cell([cfg["name"], center, radius, name], partial(cell_rows, name, vdir)) for name, vdir, _ in directions]
+    cells = [Cell({"center": center, "radius": radius, "direction": name}, partial(cell_rows, name, vdir))
+             for name, vdir, _ in directions]
     return _execute(FARFIELD_HEADER, cells, cfg)
 
 
@@ -298,25 +295,26 @@ def run_gram_limit(cfg: dict) -> RunResult:
     fseed = int(cfg["seed"]) + 1 if fseed is None else int(fseed)
     fs = kernel.sample_features(int(cfg["d"]), int(cfg["k_features"]), fseed)
     fs_kappa = kernel.sample_features(int(cfg["d"]), int(cfg["kappa_mc_features"]), int(cfg["seed"]) + 2)
-    kap_ana = v_phi.norm**2
+    kap_ana = kernel.kappa(v_phi, kernel.ANALYTIC).value
     kap_mc = kernel.kappa(v_phi, kernel.MonteCarlo(fs_kappa))
+    kappas = {"kappa_analytic": kap_ana, "kappa_mc": kap_mc.value, "kappa_se": kap_mc.std_error}
 
-    def cell_rows(t: float) -> list[list]:
+    def cell_rows(t: float) -> list[dict]:
         ts = shift_set(phi, v_phi, t, g)
         km = gram.assemble_gram(ts, kernel.ANALYTIC)
         err = float(np.abs(km.entries / t**2 - kap_ana).max())
         rate = kernel.agnosticism_rate(ts, fs)
-        return [[cfg["name"], t, "ok", kap_ana, kap_mc.value, kap_mc.std_error, err, err / kap_ana, rate, None]]
+        return [{"t": t, "status": "ok", **kappas, "gram_limit_error": err, "normalized_error": err / kap_ana,
+                 "agnosticism_rate": rate}]
 
-    def fit_row(rows: list[list]) -> list[list]:
-        ok = _ok_records(GRAM_LIMIT_HEADER, rows)
+    def fit_row(ok: list[dict]) -> list[dict]:
         if len(ok) < 2:
             return []
         ts_arr, er_arr = np.array([[rec["t"], rec["gram_limit_error"]] for rec in ok]).T
         slope = float(np.polyfit(np.log(ts_arr), np.log(er_arr), 1)[0])
-        return [[cfg["name"], "fit", "ok", kap_ana, kap_mc.value, kap_mc.std_error, None, None, None, slope]]
+        return [{"t": "fit", "status": "ok", **kappas, "decay_exponent": slope}]
 
-    cells = [Cell([cfg["name"], t], partial(cell_rows, t)) for t in map(float, cfg["t_list"])]
+    cells = [Cell({"t": t}, partial(cell_rows, t)) for t in map(float, cfg["t_list"])]
     return _execute(GRAM_LIMIT_HEADER, cells, cfg, fit_row)
 
 
@@ -328,15 +326,15 @@ INVERSE_CHECK_HEADER = [
 def run_inverse_check(cfg: dict) -> RunResult:
     rng = np.random.default_rng(int(cfg["seed"]))
 
-    def identity_cell(key, n, kap, t, delta, labels) -> list[list]:
+    def identity_cell(key, n, kap, t, delta, labels) -> list[dict]:
         inv = gram.sherman_morrison_inverse(int(n), float(kap), float(t), delta, dtype=np.longdouble)
         direct = np.longdouble(kap) * np.longdouble(t) ** 2 * np.ones(
             (int(n), int(n)), dtype=np.longdouble
         ) + np.longdouble(delta) * np.eye(int(n), dtype=np.longdouble)
         resid = float(np.abs(inv @ direct - np.eye(int(n), dtype=np.longdouble)).max())
-        return [[*key, "ok", resid, None]]
+        return [{**key, "status": "ok", "residual": resid}]
 
-    def alpha_cell(key, n, kap, t, delta, labels) -> list[list]:
+    def alpha_cell(key, n, kap, t, delta, labels) -> list[dict]:
         closed = gram.asymptotic_alpha(labels, int(n), float(kap), float(t), delta)
         solved = gram.tikhonov_solve(
             gram.asymptotic_gram(int(n), float(kap), float(t)),
@@ -346,7 +344,7 @@ def run_inverse_check(cfg: dict) -> RunResult:
         )
         scale = float(np.abs(closed.values).max())
         dev = float(np.abs(closed.values - solved.values).max()) / scale if scale else 0.0
-        return [[*key, "ok", dev, None]]
+        return [{**key, "status": "ok", "residual": dev}]
 
     lem = cfg["bias_sensitivity"]
     lem_delta = delta_from_config(lem["delta"])
@@ -357,19 +355,20 @@ def run_inverse_check(cfg: dict) -> RunResult:
         delta = dcfg.delta * (mean_diag if dcfg.mode == "relative" else 1.0)
         labels = rng.standard_normal(int(n))
         for check_name, fn in (("identity", identity_cell), ("alpha", alpha_cell)):
-            key = [cfg["name"], check_name, n, kap, t, dcfg.mode, delta]
+            key = {"check": check_name, "n": n, "kappa": kap, "t": t, "delta_mode": dcfg.mode, "delta": delta}
             if kap == 0.0:
                 # Degenerate rank-one block: the closed forms reduce to plain
                 # scaled identities, nothing left to validate.
-                fn = lambda key, *_: [[*key, "skipped:degenerate", None, None]]
+                fn = lambda key, *_: [{**key, "status": "skipped:degenerate"}]
             cells.append(Cell(key, partial(fn, key, n, kap, t, delta, labels)))
 
-    def pascal_cell(key) -> list[list]:
+    def pascal_cell(key) -> list[dict]:
         zmax = int(cfg["stencil_max_order"])
         bad = [z for z in range(1, zmax + 1) if not calculus.pascal_shift_identity(z)]
-        return [[*key, "ok" if not bad else "error:ShiftIdentity", float(len(bad)), f"z<={zmax}"]]
+        return [{**key, "status": "ok" if not bad else "error:ShiftIdentity", "residual": float(len(bad)),
+                 "detail": f"z<={zmax}"}]
 
-    def sigma_cell(key) -> list[list]:
+    def sigma_cell(key) -> list[dict]:
         srng = np.random.default_rng(int(cfg["seed"]) + 10)
         worst = 0.0
         for _ in range(int(cfg["sigma_instances"])):
@@ -381,9 +380,9 @@ def run_inverse_check(cfg: dict) -> RunResult:
             bits = srng.integers(0, 2, z + 1)
             scale = max(1.0, float(np.abs(x0.coords).max()) * (1 + z * abs(h) * v.norm))
             worst = max(worst, calculus.sigma_identity_check(x0, v, h, bits, z) / scale)
-        return [[*key, "ok", worst, f"instances={cfg['sigma_instances']}"]]
+        return [{**key, "status": "ok", "residual": worst, "detail": f"instances={cfg['sigma_instances']}"}]
 
-    def monomial_cell(key) -> list[list]:
+    def monomial_cell(key) -> list[dict]:
         worst = 0.0
         for z in range(1, 5):
             for p in range(0, z + 1):
@@ -391,22 +390,22 @@ def run_inverse_check(cfg: dict) -> RunResult:
                 est = calculus.directional_derivative(fnc, Point([0.5]), Direction([1.0]), z, h=0.5)
                 truth = math.factorial(z) if p == z else 0.0
                 worst = max(worst, abs(est.value - truth))
-        return [[*key, "ok", worst, "z<=4"]]
+        return [{**key, "status": "ok", "residual": worst, "detail": "z<=4"}]
 
     for check_name, fn in (("pascal_shift", pascal_cell), ("sigma_identity", sigma_cell),
                            ("stencil_monomial", monomial_cell)):
-        key = [cfg["name"], check_name, None, None, None, None, None]
+        key = {"check": check_name}
         cells.append(Cell(key, partial(fn, key)))
 
     lem_phi = Realization(tuple(Point(np.asarray(p, dtype=float)) for p in lem["points"]))
     lem_v = Direction(np.asarray(lem["v_phi"], dtype=float))
     lem_g = target_from_config(lem["target"])
-    kap = lem_v.norm**2
+    kap = kernel.kappa(lem_v, kernel.ANALYTIC).value
     # Written by the sensitivity cells, one key each, and read only after all
     # of them have run, so worker threads never contend for an entry.
     sens_cells: dict[float, float] = {}
 
-    def sensitivity_cell(t: float) -> list[list]:
+    def sensitivity_cell(key: dict, t: float) -> list[dict]:
         ts = shift_set(lem_phi, lem_v, t, lem_g)
         delta = lem_delta.delta * kap * t**2 if lem_delta.mode == "relative" else lem_delta.delta
         ctx = regression.closed_form_context(ts, kappa=kap, delta=delta)
@@ -437,25 +436,21 @@ def run_inverse_check(cfg: dict) -> RunResult:
             worst_b1 = max(worst_b1, b1_fd)
         if measured_active and ctx.g_sum:
             sens_cells[t] = float(np.mean(measured_active)) / ctx.g_sum
-        return [
-            [cfg["name"], "beta2_sensitivity", lem_phi.n, kap, t, lem_delta.mode, delta, "ok", worst, None],
-            [cfg["name"], "beta1_sensitivity", lem_phi.n, kap, t, lem_delta.mode, delta, "ok", worst_b1, None],
-        ]
+        row = {**key, "delta": delta, "status": "ok"}
+        return [{**row, "residual": worst}, {**row, "check": "beta1_sensitivity", "residual": worst_b1}]
 
     for t in map(float, lem["t_list"]):
-        key = [cfg["name"], "beta2_sensitivity", lem_phi.n, kap, t, lem_delta.mode, None]
-        cells.append(Cell(key, partial(sensitivity_cell, t)))
+        key = {"check": "beta2_sensitivity", "n": lem_phi.n, "kappa": kap, "t": t, "delta_mode": lem_delta.mode}
+        cells.append(Cell(key, partial(sensitivity_cell, key, t)))
 
-    def scaling_row(rows: list[list]) -> list[list]:
+    def scaling_row(ok: list[dict]) -> list[dict]:
         if len(sens_cells) < 2:
             return []
         t0, t1 = sorted(sens_cells)[:2]
         ratio = sens_cells[t0] / sens_cells[t1]
         expected = (t1 / t0) ** 2
-        return [[
-            cfg["name"], "beta2_scaling", lem_phi.n, kap, None, lem_delta.mode, None, "ok",
-            abs(ratio / expected - 1.0), f"t={t0:g}->{t1:g}",
-        ]]
+        return [{"check": "beta2_scaling", "n": lem_phi.n, "kappa": kap, "delta_mode": lem_delta.mode,
+                 "status": "ok", "residual": abs(ratio / expected - 1.0), "detail": f"t={t0:g}->{t1:g}"}]
 
     return _execute(INVERSE_CHECK_HEADER, cells, cfg, scaling_row)
 
@@ -468,11 +463,12 @@ KAPPA_HEADER = [
 def run_kappa(cfg: dict) -> RunResult:
     seed = int(cfg["seed"])
 
-    def oracle_row(check: str, d, item: str, ana: float, est: kernel.KernelEstimate) -> list:
+    def oracle_row(check: str, d, item: str, ana: float, est: kernel.KernelEstimate) -> dict:
         diff = abs(est.value - ana)
-        return [cfg["name"], check, d, item, "ok", ana, est.value, est.std_error, diff, diff <= 4 * est.std_error]
+        return {"check": check, "d": d, "item": item, "status": "ok", "analytic": ana, "estimate": est.value,
+                "std_error": est.std_error, "abs_diff": diff, "within_4se": diff <= 4 * est.std_error}
 
-    def pair_cells(d) -> list[list]:
+    def pair_cells(d) -> list[dict]:
         fs = kernel.sample_features(int(d), int(cfg["k_features"]), seed + int(d))
         prng = np.random.default_rng(seed + 100 + int(d))
         out = []
@@ -483,7 +479,7 @@ def run_kappa(cfg: dict) -> RunResult:
             out.append(oracle_row("pair", d, f"pair{i}", kernel.ntk(x, y, kernel.ANALYTIC).value, est))
         return out
 
-    def diag_cells(d) -> list[list]:
+    def diag_cells(d) -> list[dict]:
         prng = np.random.default_rng(seed + 200 + int(d))
         out = []
         for i in range(int(cfg["diag_points_per_dim"])):
@@ -492,11 +488,11 @@ def run_kappa(cfg: dict) -> RunResult:
                 x, int(cfg["diag_k_features"]), int(cfg["diag_chunk"]), seed + 300 + int(d) * 17 + i
             )
             ana = float(x.coords @ x.coords)
-            out.append([cfg["name"], "diag", d, f"x{i}", "ok", ana, est, None,
-                        abs(est - ana) / ana, abs(est - ana) <= 1e-3 * ana])
+            out.append({"check": "diag", "d": d, "item": f"x{i}", "status": "ok", "analytic": ana, "estimate": est,
+                        "abs_diff": abs(est - ana) / ana, "within_4se": abs(est - ana) <= 1e-3 * ana})
         return out
 
-    def kappa_cells() -> list[list]:
+    def kappa_cells() -> list[dict]:
         out = []
         for i in range(int(cfg["kappa_directions"])):
             d = 2 + (i % 2)
@@ -509,19 +505,21 @@ def run_kappa(cfg: dict) -> RunResult:
             out.append(oracle_row("kappa", d, f"v{i}", kernel.kappa(v, kernel.ANALYTIC).value, est))
         return out
 
-    def homogeneity_cell() -> list[list]:
+    homogeneity = {"check": "homogeneity", "d": 2, "item": "v=(3,4)"}
+
+    def homogeneity_cell() -> list[dict]:
         v = Direction([3.0, 4.0])
         unit = Direction([0.6, 0.8])
         big = kernel.kappa(v, kernel.ANALYTIC).value
         small = kernel.kappa(unit, kernel.ANALYTIC).value
         exact = big == 25.0 * small
-        return [[cfg["name"], "homogeneity", 2, "v=(3,4)", "ok", 25.0 * small, big, None,
-                 abs(big - 25.0 * small), exact]]
+        return [{**homogeneity, "status": "ok", "analytic": 25.0 * small, "estimate": big,
+                 "abs_diff": abs(big - 25.0 * small), "within_4se": exact}]
 
-    cells = [Cell([cfg["name"], "pair", d, "all"], partial(pair_cells, d)) for d in cfg["pair_dims"]]
-    cells += [Cell([cfg["name"], "diag", d, "all"], partial(diag_cells, d)) for d in cfg["pair_dims"]]
-    cells.append(Cell([cfg["name"], "kappa", None, "all"], kappa_cells))
-    cells.append(Cell([cfg["name"], "homogeneity", 2, "v=(3,4)"], homogeneity_cell))
+    cells = [Cell({"check": "pair", "d": d, "item": "all"}, partial(pair_cells, d)) for d in cfg["pair_dims"]]
+    cells += [Cell({"check": "diag", "d": d, "item": "all"}, partial(diag_cells, d)) for d in cfg["pair_dims"]]
+    cells.append(Cell({"check": "kappa", "item": "all"}, kappa_cells))
+    cells.append(Cell(homogeneity, homogeneity_cell))
     return _execute(KAPPA_HEADER, cells, cfg)
 
 
@@ -542,7 +540,7 @@ def run_mlp_compare(cfg: dict) -> RunResult:
     box = float(cfg["eval_box"])
     eval_pts = [Point(erng.uniform(-box, box, d)) for _ in range(int(cfg["eval_points"]))]
 
-    def width_cells(width) -> list[list]:
+    def width_cells(width) -> list[dict]:
         mc = mlp.MLPConfig(width=int(width), steps=int(cfg["max_steps"]), seed=int(cfg["seed"]))
         model0 = mlp.init_model(mc, d)
         f0 = mlp.evaluate_batch(model0, ts.shifted)
@@ -550,27 +548,26 @@ def run_mlp_compare(cfg: dict) -> RunResult:
         target = float(cfg["loss_target_ratio"]) * loss0
         model, trace = mlp.train(model0, ts, mc, target_loss=target)
         disp = mlp.parameter_displacement(model0, model)
-        out = [[cfg["name"], width, "train", "ok", len(trace) - 1, trace[0], trace[-1],
-                trace[-1] / trace[0] if trace[0] else 0.0, disp, None, None, None, None]]
+        out = [{"width": width, "item": "train", "status": "ok", "steps": len(trace) - 1,
+                "loss_initial": trace[0], "loss_final": trace[-1],
+                "loss_ratio": trace[-1] / trace[0] if trace[0] else 0.0, "displacement": disp}]
         for j, pt in enumerate(eval_pts):
             fn = mlp.evaluate(model, pt)
             fk = regression.predict(predictor, pt)
             tol = max(0.1 * abs(fk), 0.05)
-            out.append([cfg["name"], width, f"eval{j}", "ok", None, None, None, None, None,
-                        fn, fk, abs(fn - fk), tol])
+            out.append({"width": width, "item": f"eval{j}", "status": "ok",
+                        "f_net": fn, "f_kernel": fk, "abs_dev": abs(fn - fk), "tol": tol})
         return out
 
-    def order_row(rows: list[list]) -> list[list]:
-        records = _ok_records(MLP_HEADER, rows)
-        displacements = {int(rec["width"]): rec["displacement"] for rec in records if rec["item"] == "train"}
+    def order_row(ok: list[dict]) -> list[dict]:
+        displacements = {int(rec["width"]): rec["displacement"] for rec in ok if rec["item"] == "train"}
         if len(displacements) < 2:
             return []
         ws = sorted(displacements)
-        ok = displacements[ws[-1]] < displacements[ws[0]]
-        return [[cfg["name"], None, "displacement_order", "ok" if ok else "error:DisplacementOrder",
-                 None, None, None, None, None, None, None, None, None]]
+        ordered = displacements[ws[-1]] < displacements[ws[0]]
+        return [{"item": "displacement_order", "status": "ok" if ordered else "error:DisplacementOrder"}]
 
-    cells = [Cell([cfg["name"], width, "train"], partial(width_cells, width)) for width in cfg["widths"]]
+    cells = [Cell({"width": width, "item": "train"}, partial(width_cells, width)) for width in cfg["widths"]]
     return _execute(MLP_HEADER, cells, cfg, order_row)
 
 

@@ -70,7 +70,7 @@ class TestAssembleGram:
         ts = shift_set(phi, Direction([0.8, 0.6]), 100.0, SinusoidalTarget(u=[1.0, 2.0]))
         km = assemble_gram(ts, ANALYTIC)
         trace = float(np.trace(km.entries))
-        assert km.min_eigenvalue() >= -1e-8 * trace / km.n
+        assert np.linalg.eigvalsh(km.entries)[0] >= -1e-8 * trace / km.n
 
 
 class TestAsymptoticGram:
@@ -80,11 +80,6 @@ class TestAsymptoticGram:
 
     def test_unit_case(self):
         assert asymptotic_gram(1, 1.0, 1.0).entries.tolist() == [[1.0]]
-
-    def test_degenerate_flag(self):
-        km = asymptotic_gram(3, kappa=0.0, t=5.0)
-        assert km.is_degenerate
-        assert not asymptotic_gram(3, 1.0, 5.0).is_degenerate
 
 
 class TestShermanMorrison:

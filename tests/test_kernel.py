@@ -289,6 +289,23 @@ class TestKernelMatrix:
                 assert ana[i, j] == _reference_analytic(xs[i], ys[j])
                 assert mc[i, j] == _reference_mc(xs[i], ys[j], fs.weights)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 4),
+        n=st.integers(1, 39),
+        t=st.floats(0.0, 1e5),
+        k=st.integers(1, 3000),
+    )
+    def test_matrix_of_a_set_with_itself_is_its_transpose_bit_for_bit(self, seed, d, n, t, k):
+        # The gram is this matrix as it comes, so its symmetry has to be
+        # exact, signed zeros included.
+        rng = np.random.default_rng(seed)
+        xs = _augmented_rows(rng, n, d, t * rng.standard_normal(d))
+        for mode in (ANALYTIC, MonteCarlo(sample_features(d, k, seed=seed))):
+            got = kernel_matrix(xs, xs, mode)
+            assert _same_bits(got, got.T)
+
     def test_mc_feature_dimension_checked(self):
         rows = np.array([[0.5, 1.0]])
         with pytest.raises(DimensionError):

@@ -16,6 +16,7 @@ from ntkorigin import (
     SinusoidalTarget,
     agnosticism_rate,
     calculus,
+    runner,
     sample_features,
     shift_set,
 )
@@ -250,6 +251,33 @@ class TestCellIsolation:
             assert len(row) == len(res.header)
             assert all(v is None for v in row[status + 1:])
 
+    def test_record_naming_a_column_outside_the_header_raises(self, monkeypatch):
+        # A misnamed column is a programming error, so it escapes the cell
+        # isolation instead of becoming a stub row.
+        cell = runner.Cell
+
+        def misnamed(key, rows):
+            return cell(key, lambda: [{**rec, "bogus": 1.0} for rec in rows()])
+
+        monkeypatch.setattr(runner, "Cell", misnamed)
+        with pytest.raises(KeyError, match="bogus"):
+            RUNNERS["gram-limit"](small_config("gram-limit", t_list=[100.0]))
+
+    def test_summary_row_is_fit_to_the_ok_rows_only(self):
+        res = RUNNERS["gram-limit"](small_config("gram-limit", t_list=[100.0, -5.0, 1000.0]))
+        idx = {h: i for i, h in enumerate(res.header)}
+        ok = [row for row in res.rows if row[idx["status"]] == "ok" and row[idx["t"]] != "fit"]
+        (fit,) = [row for row in res.rows if row[idx["t"]] == "fit"]
+        assert res.failures == 1 and [row[idx["t"]] for row in ok] == [100.0, 1000.0]
+        ts, errs = np.array([[row[idx["t"]], row[idx["gram_limit_error"]]] for row in ok]).T
+        assert fit[idx["decay_exponent"]] == float(np.polyfit(np.log(ts), np.log(errs), 1)[0])
+
+    def test_no_displacement_order_without_two_trained_widths(self):
+        res = RUNNERS["mlp-compare"](small_config("mlp-compare", **FAILING["mlp-compare"]))
+        items = [row[res.header.index("item")] for row in res.rows]
+        assert res.failures == 1 and "train" in items
+        assert "displacement_order" not in items
+
     def test_failed_pascal_identity_counts_as_failure(self, tmp_path, monkeypatch):
         monkeypatch.setattr(calculus, "pascal_shift_identity", lambda z: False)
         res = RUNNERS["inverse-check"](small_config("inverse-check"))
@@ -283,6 +311,20 @@ class TestCli:
         rc = main(["theorem1", "--config", str(cfg), "--out", str(tmp_path / "t.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("sub, overlay", [
+        ("farfield", {"v_phi": [0, 0]}),
+        ("theorem1", {"mode": "mc", "k_features": 0}),
+        ("mlp-compare", {"points": []}),
+    ], ids=["zero-shift-direction", "no-features", "no-points"])
+    def test_library_error_while_reading_the_config_is_a_config_error(self, tmp_path, capsys, sub, overlay):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(overlay))
+        out = tmp_path / "out.csv"
+        assert main([sub, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_print_config(self, capsys):
         assert main(["kappa", "--print-config"]) == 0
         out = capsys.readouterr().out
@@ -313,6 +355,17 @@ class TestSweepScience:
         res = RUNNERS["theorem1"](cfg)
         # 3 shifts x (8 random + shift direction + orthogonal) directions.
         assert len(res.rows) == 30
+
+    @pytest.mark.parametrize("sub", ["theorem1", "farfield"])
+    def test_cubic_profile_leaves_c4_empty(self, sub):
+        # A degree-3 fit has no c4; the columns after it keep their places.
+        res = RUNNERS[sub](small_config(sub, degmax=3))
+        idx = {h: i for i, h in enumerate(res.header)}
+        assert res.failures == 0
+        for row in res.rows:
+            assert len(row) == len(res.header)
+            assert row[idx["c3"]] is not None and row[idx["c4"]] is None
+            assert row[idx["classification"]] in ("constant", "linear", "quadratic", "higher")
 
     def test_sensitivity_rows_count_the_points_they_use(self):
         cfg = small_config("inverse-check")

@@ -1,0 +1,36 @@
+"""Print the sha256 of each packaged default sweep's CSV.
+
+    python3 tools/default_digests.py
+
+Runs every subcommand's packaged default config, plus `theorem1` in Monte
+Carlo mode with 10000 features, in process through `runner.RUNNERS`, and
+prints one `sha256  name` line per CSV. Run it on two checkouts and compare
+the output to check that a change keeps every default CSV byte-identical.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from ntkorigin.configs import default_config  # noqa: E402
+from ntkorigin.runner import RUNNERS  # noqa: E402
+
+CASES = [(sub, sub, {}) for sub in RUNNERS]
+CASES.append(("theorem1-mc", "theorem1", {"mode": "mc", "k_features": 10000}))
+
+
+def main() -> int:
+    for name, sub, overlay in CASES:
+        cfg = default_config(sub)
+        cfg.update(overlay)
+        digest = hashlib.sha256(RUNNERS[sub](cfg).csv().encode()).hexdigest()
+        print(f"{digest}  {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
