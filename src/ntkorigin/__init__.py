@@ -43,12 +43,12 @@ from .kernel import (
     KernelMode,
     MonteCarlo,
     agnosticism_rate,
+    diagonal,
     feature_map,
     kappa,
     kernel_matrix,
     ntk,
     sample_features,
-    streamed_diagonal,
 )
 from .gram import (
     AlphaVector,

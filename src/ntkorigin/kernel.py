@@ -18,8 +18,8 @@ relies on it.
 `kernel_matrix` evaluates either mode for every pair drawn from two stacks of
 augmented rows and is what gram assembly and the predictors call; `ntk` is the
 same computation for a single pair, with the Monte Carlo standard error, and
-`streamed_diagonal` is the Monte Carlo diagonal k(x, x) over features drawn
-chunk by chunk.
+`diagonal` is the Monte Carlo k(x, x) over features it draws from a seed,
+tile by tile, without ever holding a whole sample.
 
 Ties follow the ">= 0" convention: an exactly-zero pre-activation indicates 1.
 """
@@ -270,33 +270,37 @@ def _fill_diagonal(x: np.ndarray, out: np.ndarray, rows: Callable[[int, int], np
     return out
 
 
-def streamed_diagonal(x: AugmentedPoint | np.ndarray, count: int, chunk: int, seed: int) -> float:
-    """Monte Carlo estimate of k(x, x) over `count` features drawn from
-    `default_rng(seed)` in chunks of at most `chunk` rows.
+def diagonal(x: AugmentedPoint | np.ndarray, count: int, seed: int, chunk: int | None = None) -> KernelEstimate:
+    """Monte Carlo k(x, x) over `count` features drawn from `default_rng(seed)`
+    in chunks of at most `chunk` rows (one chunk if None).
 
     Each chunk is drawn and integrated one tile of `DIAGONAL_TILE` weight rows
-    at a time, in the generator's order, into one chunk-length vector that is
-    summed once. So only one tile of weights is held, memory is about one
-    chunk-length float64 vector, and the feature count is bounded by time
-    rather than memory. With a single chunk the draws, and the value, equal
-    `ntk(x, x, MonteCarlo(sample_features(d, count, seed)))`.
+    at a time, in the generator's order, into one chunk-length vector, so no
+    sample is ever held. With one chunk, value and standard error equal those
+    of `ntk(x, x, MonteCarlo(sample_features(d, count, seed)))` bit for bit.
+    With several, each chunk is summed once and its sum of squares feeds the
+    standard error, so no second chunk-length vector is allocated.
     """
-    if count < 1 or chunk < 1:
-        raise InvalidInput(f"feature count and chunk must be >= 1, got {count} and {chunk}")
+    if count < 1:
+        raise InvalidInput(f"feature count must be >= 1, got {count}")
+    chunk = count if chunk is None else chunk
+    if chunk < 1:
+        raise InvalidInput(f"chunk must be >= 1, got {chunk}")
     row = _aug_coords(x)[None]
-    xs, _ = _row_pair(row, row)
-    x = xs[0]
+    x = _row_pair(row, row)[0][0]
     gen = np.random.default_rng(seed)
     contribs = np.empty(min(chunk, count))
     tile = np.empty((min(DIAGONAL_TILE + 1, contribs.size), x.size))
-
-    def draw(start: int, stop: int) -> np.ndarray:
-        return gen.standard_normal(out=tile[: stop - start])
-
-    total = 0.0
+    draw = lambda start, stop: gen.standard_normal(out=tile[: stop - start])  # noqa: E731
+    if contribs.size == count:
+        return _estimate(_fill_diagonal(x, contribs, draw))
+    total = squares = 0.0
     for start in range(0, count, chunk):
-        total += float(_fill_diagonal(x, contribs[: min(chunk, count - start)], draw).sum())
-    return total / count
+        c = _fill_diagonal(x, contribs[: min(chunk, count - start)], draw)
+        total += float(c.sum())
+        squares += float(np.vecdot(c, c))
+    var = max(squares - total * total / count, 0.0) / (count - 1)
+    return KernelEstimate(value=total / count, std_error=float(np.sqrt(var / count)))
 
 
 def kappa(v: Direction, mode: KernelMode) -> KernelEstimate:
@@ -311,14 +315,15 @@ def kappa(v: Direction, mode: KernelMode) -> KernelEstimate:
     integrated tile by tile over the sample into one K-length vector of
     contributions, so the estimate needs about two K-length vectors (the
     contributions and the standard error's deviations) besides the sample.
+    `diagonal(-v.augmented(), K, seed)` gives the same bits without holding
+    the sample `sample_features(d, K, seed)`; pass one only to share it.
     """
     if isinstance(mode, MonteCarlo):
         weights = mode.features.weights
         lim = -v.augmented()
         if weights.shape[1] != lim.size:
             raise DimensionError(f"feature dim {weights.shape[1]} != augmented dim {lim.size}")
-        contribs = _fill_diagonal(lim, np.empty(weights.shape[0]), lambda start, stop: weights[start:stop])
-        return _estimate(contribs)
+        return _estimate(_fill_diagonal(lim, np.empty(weights.shape[0]), lambda start, stop: weights[start:stop]))
     return KernelEstimate(value=float(v.norm**2))
 
 

@@ -294,9 +294,8 @@ def run_gram_limit(cfg: dict) -> RunResult:
     fseed = cfg.get("features_seed")
     fseed = int(cfg["seed"]) + 1 if fseed is None else int(fseed)
     fs = kernel.sample_features(int(cfg["d"]), int(cfg["k_features"]), fseed)
-    fs_kappa = kernel.sample_features(int(cfg["d"]), int(cfg["kappa_mc_features"]), int(cfg["seed"]) + 2)
     kap_ana = kernel.kappa(v_phi, kernel.ANALYTIC).value
-    kap_mc = kernel.kappa(v_phi, kernel.MonteCarlo(fs_kappa))
+    kap_mc = kernel.diagonal(-v_phi.augmented(), int(cfg["kappa_mc_features"]), int(cfg["seed"]) + 2)
     kappas = {"kappa_analytic": kap_ana, "kappa_mc": kap_mc.value, "kappa_se": kap_mc.std_error}
 
     def cell_rows(t: float) -> list[dict]:
@@ -484,9 +483,8 @@ def run_kappa(cfg: dict) -> RunResult:
         out = []
         for i in range(int(cfg["diag_points_per_dim"])):
             x = augment(prng.uniform(-2, 2, int(d)))
-            est = kernel.streamed_diagonal(
-                x, int(cfg["diag_k_features"]), int(cfg["diag_chunk"]), seed + 300 + int(d) * 17 + i
-            )
+            dseed = seed + 300 + int(d) * 17 + i
+            est = kernel.diagonal(x, int(cfg["diag_k_features"]), dseed, int(cfg["diag_chunk"])).value
             ana = float(x.coords @ x.coords)
             out.append({"check": "diag", "d": d, "item": f"x{i}", "status": "ok", "analytic": ana, "estimate": est,
                         "abs_diff": abs(est - ana) / ana, "within_4se": abs(est - ana) <= 1e-3 * ana})
@@ -498,10 +496,7 @@ def run_kappa(cfg: dict) -> RunResult:
             d = 2 + (i % 2)
             vrng = np.random.default_rng(seed + 400 + i)
             v = Direction(vrng.standard_normal(d) * 2.0)
-            fs = kernel.sample_features(d, int(cfg["kappa_k_features"]), seed + 500 + i)
-            est = kernel.kappa(v, kernel.MonteCarlo(fs))
-            # Release this sample before the next direction draws its own.
-            del fs
+            est = kernel.diagonal(-v.augmented(), int(cfg["kappa_k_features"]), seed + 500 + i)
             out.append(oracle_row("kappa", d, f"v{i}", kernel.kappa(v, kernel.ANALYTIC).value, est))
         return out
 

@@ -26,13 +26,13 @@ from ntkorigin import (
     agnosticism_rate,
     augment,
     closed_form_context,
+    diagonal,
     feature_map,
     kappa,
     kernel_matrix,
     ntk,
     sample_features,
     shift_set,
-    streamed_diagonal,
 )
 
 
@@ -407,7 +407,7 @@ class TestInPlaceIntegrand:
 
 
 def _reference_diagonal(xa, count, chunk, seed):
-    """The chunked diagonal loop the kappa sweep ran inline before `streamed_diagonal`."""
+    """The chunked diagonal loop the kappa sweep once ran inline."""
     total = 0.0
     n = 0
     gen = np.random.default_rng(seed)
@@ -431,6 +431,8 @@ several_tiles = st.builds(
 
 
 class TestStreamedDiagonal:
+    """`diagonal` streams its features from the seed, one tile at a time."""
+
     @settings(max_examples=50, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -441,7 +443,7 @@ class TestStreamedDiagonal:
     def test_one_chunk_equals_ntk_bit_for_bit(self, seed, d, k, spare):
         x = augment(np.random.default_rng(seed).uniform(-2.0, 2.0, d))
         want = ntk(x, x, MonteCarlo(sample_features(d, k, seed))).value
-        assert streamed_diagonal(x, k, k + spare, seed) == want
+        assert diagonal(x, k, seed, k + spare).value == want
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -457,13 +459,34 @@ class TestStreamedDiagonal:
     def test_chunks_equal_reference_loop_bit_for_bit(self, seed, d, sizes):
         k, chunk = sizes
         x = augment(np.random.default_rng(seed).uniform(-2.0, 2.0, d))
-        assert streamed_diagonal(x, k, chunk, seed) == _reference_diagonal(x.coords, k, chunk, seed)
+        assert diagonal(x, k, seed, chunk).value == _reference_diagonal(x.coords, k, chunk, seed)
 
     def test_rejects_empty_count_or_chunk(self):
         x = augment([0.5])
         for count, chunk in ((0, 10), (10, 0)):
             with pytest.raises(InvalidInput):
-                streamed_diagonal(x, count, chunk, seed=1)
+                diagonal(x, count, seed=1, chunk=chunk)
+        with pytest.raises(InvalidInput, match="feature count must be >= 1, got 0"):
+            diagonal(x, 0, seed=1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), k=several_tiles)
+    def test_equals_kappa_of_the_same_sample_bit_for_bit(self, seed, d, k):
+        # The tiles draw the normals of `sample_features` in its order, so the
+        # seed stands for the sample; a lone last row is among the sizes.
+        v = Direction(np.random.default_rng(seed).standard_normal(d))
+        got = diagonal(-v.augmented(), k, seed)
+        want = kappa(v, MonteCarlo(sample_features(d, k, seed)))
+        assert _same_bits(got.value, want.value) and _same_bits(got.std_error, want.std_error)
+
+    @pytest.mark.parametrize("k, chunk", [(2, 1), (2500, 1000), (3 * TILE + 5, TILE)])
+    def test_chunked_standard_error_matches_one_chunk(self, k, chunk):
+        # Same draws either way; only the order of the sums differs.
+        x = augment([0.7, -1.2])
+        whole = diagonal(x, k, seed=8)
+        chunked = diagonal(x, k, seed=8, chunk=chunk)
+        assert chunked.value == pytest.approx(whole.value, rel=1e-12)
+        assert chunked.std_error == pytest.approx(whole.std_error, rel=1e-9)
 
 
 class TestDiagonalTiles:
@@ -530,12 +553,12 @@ SLACK = 64 * 1024
 
 
 class TestDiagonalMemory:
-    def test_streamed_diagonal_holds_one_chunk_vector_and_one_tile(self):
+    def test_diagonal_holds_one_chunk_vector_and_one_tile(self):
         # Two and a bit chunks: the chunk-length vector and the tile are reused.
         d, chunk = 5, 200_000
         x = augment(np.random.default_rng(3).uniform(-2.0, 2.0, d))
         weights_tile, mask = 8 * (TILE + 1) * (d + 1), 8 * (TILE + 1)
-        peak = _traced_peak(lambda: streamed_diagonal(x, 2 * chunk + 1, chunk, seed=3))
+        peak = _traced_peak(lambda: diagonal(x, 2 * chunk + 1, seed=3, chunk=chunk))
         assert peak <= 8 * chunk + weights_tile + mask + SLACK
 
     def test_kappa_needs_two_sample_length_vectors(self):

@@ -1,5 +1,6 @@
 """Sweep orchestration: configs, determinism, cell isolation, CLI contract."""
 
+import csv
 import json
 import re
 import sys
@@ -22,6 +23,7 @@ from ntkorigin import (
 )
 from ntkorigin.cli import main
 from ntkorigin.configs import DEFAULTS, default_config
+from ntkorigin.kernel import DIAGONAL_TILE
 from ntkorigin.runner import (
     RUNNERS,
     load_config,
@@ -68,6 +70,21 @@ def small_config(sub, **overrides):
 
 def small_theorem1(**overrides):
     return small_config("theorem1", **{"t_list": [100.0], **overrides})
+
+
+def _traced_peak(fn):
+    """(peak bytes traced by tracemalloc while fn runs, fn's result)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def _tile_bytes(d: int) -> int:
+    """One tile of the Monte Carlo diagonal: its weight rows and its mask."""
+    return 8 * (DIAGONAL_TILE + 1) * (d + 2)
 
 
 class TestConfigs:
@@ -325,6 +342,23 @@ class TestCli:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_empty_kappa_sample_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kappa_mc_features": 0}))
+        out = tmp_path / "out.csv"
+        assert main(["gram-limit", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: feature count must be >= 1, got 0\n"
+        assert not out.exists()
+
+    def test_empty_diagonal_chunk_fails_the_diag_rows(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"diag_chunk": 0, "k_features": 1000, "kappa_k_features": 1000}))
+        out = tmp_path / "out.csv"
+        assert main(["kappa", "--config", str(path), "--out", str(out)]) == 2
+        rows = csv.DictReader(out.read_text().splitlines())
+        failed = [(row["check"], row["status"]) for row in rows if row["status"].startswith("error:")]
+        assert failed == [("diag", "error:InvalidInput")] * 3
+
     def test_print_config(self, capsys):
         assert main(["kappa", "--print-config"]) == 0
         out = capsys.readouterr().out
@@ -434,17 +468,21 @@ class TestSweepScience:
         assert res.rows[0][idx["agnosticism_rate"]] == expected
 
     def test_kappa_rows_hold_one_sample_at_a_time(self):
-        # Directions alternate d=2 and d=3. The peak is one d=3 sample plus
-        # the two K-length vectors of its estimate; holding the previous
-        # sample while the next is drawn, or the integrand's K-length
-        # temporaries, would go above it.
+        # Directions alternate d=2 and d=3. Each row draws its features one
+        # tile at a time, so the peak is the two K-length vectors of its
+        # estimate and one d=3 tile of weights with its mask; holding one
+        # row's sample (32 bytes a feature at d=3) would go above it.
         k = 200_000
         cfg = small_config("kappa", pair_dims=[], kappa_directions=3, kappa_k_features=k)
-        tracemalloc.start()
-        try:
-            res = run_kappa(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, res = _traced_peak(lambda: run_kappa(cfg))
         assert res.failures == 0
-        assert peak <= 8 * k * 4 + 2 * 8 * k + 128 * 1024
+        assert peak <= 2 * 8 * k + _tile_bytes(3) + 128 * 1024
+
+    def test_gram_limit_never_holds_the_kappa_sample(self):
+        # The kappa_mc_features-row sample (24 bytes a row at d=2) would
+        # exceed the two K-length vectors of the estimate and one tile.
+        k = 400_000
+        cfg = small_config("gram-limit", kappa_mc_features=k, t_list=[100.0])
+        peak, res = _traced_peak(lambda: RUNNERS["gram-limit"](cfg))
+        assert res.failures == 0
+        assert peak <= 2 * 8 * k + _tile_bytes(2) + 128 * 1024
