@@ -77,8 +77,8 @@ class TikhonovConfig:
     mode: Literal["absolute", "relative"] = "absolute"
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise InvalidRegularization(f"delta must be positive, got {self.delta}")
+        if not 0 < self.delta < np.inf:
+            raise InvalidRegularization(f"delta must be positive and finite, got {self.delta}")
         if self.mode not in ("absolute", "relative"):
             raise InvalidRegularization(f"unknown delta mode {self.mode!r}")
 

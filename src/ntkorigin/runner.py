@@ -27,19 +27,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import calculus, gram, kernel, mlp, regression
-from .configs import overlay_config
+from .configs import delta_from_config, overlay_config, target_from_config
 from .errors import ConfigError, NtkOriginError
-from .geometry import (
-    Direction,
-    LinearTarget,
-    Point,
-    QuadraticTarget,
-    Realization,
-    SinusoidalTarget,
-    TargetFunction,
-    augment,
-    shift_set,
-)
+from .geometry import Direction, Point, Realization, TargetFunction, augment, shift_set
 
 
 def _fmt(x) -> str:
@@ -65,63 +55,23 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The fields each target kind reads, besides `kind`.
-_TARGET_FIELDS = {"linear": {"a", "b"}, "quadratic": {"q", "a", "b"}, "sinusoidal": {"u", "phase"}}
-
-
-def target_from_config(spec: dict) -> TargetFunction:
-    """The target a spec describes; an unknown kind, a missing or malformed
-    field, or a field its kind does not read is a ConfigError."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"target spec must be an object, got {spec!r}")
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _TARGET_FIELDS:
-        raise ConfigError(f"unknown target kind {spec!r}")
-    extra = sorted(set(spec) - _TARGET_FIELDS[kind] - {"kind"})
-    if extra:
-        allowed = sorted(_TARGET_FIELDS[kind])
-        raise ConfigError(f"{kind} target has fields {extra} it does not read; allowed: {allowed}")
-    try:
-        if kind == "linear":
-            return LinearTarget(a=np.asarray(spec["a"], dtype=float), b=float(spec.get("b", 0.0)))
-        if kind == "quadratic":
-            return QuadraticTarget(
-                q=np.asarray(spec["q"], dtype=float),
-                a=np.asarray(spec["a"], dtype=float),
-                b=float(spec.get("b", 0.0)),
-            )
-        return SinusoidalTarget(u=np.asarray(spec["u"], dtype=float), phase=float(spec.get("phase", 0.0)))
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed {kind} target spec {spec!r}") from exc
-
-
-def delta_from_config(spec: dict) -> gram.TikhonovConfig:
-    """A delta spec as a TikhonovConfig; a missing field, a non-numeric or
-    non-positive value or an unknown mode is a ConfigError."""
-    try:
-        return gram.TikhonovConfig(delta=float(spec["value"]), mode=spec["mode"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed delta spec {spec!r}: {exc}") from exc
-
-
 def realization_from_config(cfg: dict, rng: np.random.Generator) -> Realization:
-    if cfg.get("points") is not None:
-        pts = [Point(np.asarray(p, dtype=float)) for p in cfg["points"]]
-        return Realization(tuple(pts))
+    if cfg["points"] is not None:
+        return Realization(tuple(Point(p) for p in cfg["points"]))
     lo, hi = cfg["box"]
-    draws = rng.uniform(lo, hi, size=(int(cfg["n"]), int(cfg["d"])))
+    draws = rng.uniform(lo, hi, size=(cfg["n"], cfg["d"]))
     return Realization(tuple(Point(row) for row in draws))
 
 
 def evaluation_directions(cfg: dict, rng: np.random.Generator) -> list[tuple[str, Direction, bool]]:
     """Deterministic direction set: random units, the shift direction, one orthogonal."""
-    d = int(cfg["d"])
+    d = cfg["d"]
     out: list[tuple[str, Direction, bool]] = []
-    for i in range(int(cfg.get("n_directions", 0))):
+    for i in range(cfg["n_directions"]):
         v = rng.standard_normal(d)
         v /= np.linalg.norm(v)
         out.append((f"rand{i}", Direction(v), False))
-    v_phi = np.asarray(cfg["v_phi"], dtype=float)
+    v_phi = np.asarray(cfg["v_phi"])
     if cfg.get("include_shift_direction", False):
         out.append(("vphi", Direction(v_phi / np.linalg.norm(v_phi)), False))
     if cfg.get("include_orthogonal", False):
@@ -173,7 +123,7 @@ def _execute(header: list[str], cells: list[Cell], cfg: dict,
     records `extra` derives from the ok ones, and lay every record out in the
     header's order under the config's `scenario` name. A record naming a
     column outside the header is a programming error and raises KeyError."""
-    per_cell = _map_cells(_guard, cells, int(cfg.get("threads", 1)))
+    per_cell = _map_cells(_guard, cells, cfg["threads"])
     records = [rec for got in per_cell for rec in got]
     records.extend(extra([rec for rec in records if rec["status"] == "ok"]))
     unknown = set().union(*records) - set(header)
@@ -185,9 +135,9 @@ def _execute(header: list[str], cells: list[Cell], cfg: dict,
 
 def _scenario(cfg: dict) -> tuple[np.random.Generator, Realization, TargetFunction, Direction]:
     """Generator (after drawing the realization), realization, target and shift direction."""
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(cfg["seed"])
     phi = realization_from_config(cfg, rng)
-    return rng, phi, target_from_config(cfg["target"]), Direction(np.asarray(cfg["v_phi"], dtype=float))
+    return rng, phi, target_from_config(cfg["target"]), Direction(cfg["v_phi"])
 
 
 THEOREM1_HEADER = [
@@ -201,18 +151,13 @@ def run_theorem1(cfg: dict) -> RunResult:
     rng, phi, g, v_phi = _scenario(cfg)
     directions = evaluation_directions(cfg, rng)
     delta_cfg = delta_from_config(cfg["delta"])
-    if cfg["mode"] not in ("analytic", "mc"):
-        raise ConfigError(f"theorem1 mode must be 'analytic' or 'mc', got {cfg['mode']!r}")
     mc = cfg["mode"] == "mc"
-    fs = kernel.sample_features(int(cfg["d"]), int(cfg["k_features"]), int(cfg["seed"]) + 1) if mc else None
+    fs = kernel.sample_features(cfg["d"], cfg["k_features"], cfg["seed"] + 1) if mc else None
     mode = kernel.MonteCarlo(fs) if mc else kernel.ANALYTIC
     kappa_val = kernel.kappa(v_phi, mode).value
     kap_ana = kernel.kappa(v_phi, kernel.ANALYTIC).value
-    origin = Point(np.zeros(int(cfg["d"])))
-    radius = float(cfg["radius"])
-    m = int(cfg["profile_points"])
-    degmax = int(cfg["degmax"])
-    eq_rng_seed = int(cfg["seed"]) + 2
+    origin = Point(np.zeros(cfg["d"]))
+    radius, m, degmax = cfg["radius"], cfg["profile_points"], cfg["degmax"]
 
     def cell_rows(t: float) -> list[dict]:
         ts = shift_set(phi, v_phi, t, g)
@@ -235,15 +180,15 @@ def run_theorem1(cfg: dict) -> RunResult:
         if mc:
             beta = regression.beta_from_alpha(ts, alpha)
             fsp = regression.FeatureSpacePredictor(beta=beta)
-            eq_rng = np.random.default_rng(eq_rng_seed)
-            xs = eq_rng.uniform(-2.0, 2.0, (int(cfg.get("equivalence_points", 0)), int(cfg["d"])))
+            eq_rng = np.random.default_rng(cfg["seed"] + 2)
+            xs = eq_rng.uniform(-2.0, 2.0, (cfg["equivalence_points"], cfg["d"]))
             fp = regression.predict(predictor, xs)
             ff = regression.predict(fsp, xs)
             dev = float(np.max(np.abs(fp - ff) / (1.0 + np.abs(fp)), initial=0.0))
             out.append({**common, "direction": "equivalence", "orthogonal": False, "equivalence_dev": dev})
         return out
 
-    cells = [Cell({"t": t, "direction": "all"}, partial(cell_rows, t)) for t in map(float, cfg["t_list"])]
+    cells = [Cell({"t": t, "direction": "all"}, partial(cell_rows, t)) for t in cfg["t_list"]]
     return _execute(THEOREM1_HEADER, cells, cfg)
 
 
@@ -261,10 +206,9 @@ def run_farfield(cfg: dict) -> RunResult:
     km = gram.assemble_gram(ts, kernel.ANALYTIC)
     alpha = gram.tikhonov_solve(km, delta_cfg, ts.labels)
     predictor = regression.PointWisePredictor(training=ts, alpha=alpha)
-    lo, hi = [float(x) for x in cfg["window"]]
+    lo, hi = cfg["window"]
     center, radius = (lo + hi) / 2.0, (hi - lo) / 2.0
-    m = int(cfg["profile_points"])
-    degmax = int(cfg["degmax"])
+    m, degmax = cfg["profile_points"], cfg["degmax"]
 
     def cell_rows(name: str, vdir: Direction) -> list[dict]:
         base = Point(center * vdir.coords)
@@ -291,11 +235,10 @@ GRAM_LIMIT_HEADER = [
 
 def run_gram_limit(cfg: dict) -> RunResult:
     _, phi, g, v_phi = _scenario(cfg)
-    fseed = cfg.get("features_seed")
-    fseed = int(cfg["seed"]) + 1 if fseed is None else int(fseed)
-    fs = kernel.sample_features(int(cfg["d"]), int(cfg["k_features"]), fseed)
+    fseed = cfg["seed"] + 1 if cfg["features_seed"] is None else cfg["features_seed"]
+    fs = kernel.sample_features(cfg["d"], cfg["k_features"], fseed)
     kap_ana = kernel.kappa(v_phi, kernel.ANALYTIC).value
-    kap_mc = kernel.diagonal(-v_phi.augmented(), int(cfg["kappa_mc_features"]), int(cfg["seed"]) + 2)
+    kap_mc = kernel.diagonal(-v_phi.augmented(), cfg["kappa_mc_features"], cfg["seed"] + 2)
     kappas = {"kappa_analytic": kap_ana, "kappa_mc": kap_mc.value, "kappa_se": kap_mc.std_error}
 
     def cell_rows(t: float) -> list[dict]:
@@ -313,7 +256,7 @@ def run_gram_limit(cfg: dict) -> RunResult:
         slope = float(np.polyfit(np.log(ts_arr), np.log(er_arr), 1)[0])
         return [{"t": "fit", "status": "ok", **kappas, "decay_exponent": slope}]
 
-    cells = [Cell({"t": t}, partial(cell_rows, t)) for t in map(float, cfg["t_list"])]
+    cells = [Cell({"t": t}, partial(cell_rows, t)) for t in cfg["t_list"]]
     return _execute(GRAM_LIMIT_HEADER, cells, cfg, fit_row)
 
 
@@ -323,20 +266,20 @@ INVERSE_CHECK_HEADER = [
 
 
 def run_inverse_check(cfg: dict) -> RunResult:
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(cfg["seed"])
 
     def identity_cell(key, n, kap, t, delta, labels) -> list[dict]:
-        inv = gram.sherman_morrison_inverse(int(n), float(kap), float(t), delta, dtype=np.longdouble)
+        inv = gram.sherman_morrison_inverse(n, kap, t, delta, dtype=np.longdouble)
         direct = np.longdouble(kap) * np.longdouble(t) ** 2 * np.ones(
-            (int(n), int(n)), dtype=np.longdouble
-        ) + np.longdouble(delta) * np.eye(int(n), dtype=np.longdouble)
-        resid = float(np.abs(inv @ direct - np.eye(int(n), dtype=np.longdouble)).max())
+            (n, n), dtype=np.longdouble
+        ) + np.longdouble(delta) * np.eye(n, dtype=np.longdouble)
+        resid = float(np.abs(inv @ direct - np.eye(n, dtype=np.longdouble)).max())
         return [{**key, "status": "ok", "residual": resid}]
 
     def alpha_cell(key, n, kap, t, delta, labels) -> list[dict]:
-        closed = gram.asymptotic_alpha(labels, int(n), float(kap), float(t), delta)
+        closed = gram.asymptotic_alpha(labels, n, kap, t, delta)
         solved = gram.tikhonov_solve(
-            gram.asymptotic_gram(int(n), float(kap), float(t)),
+            gram.asymptotic_gram(n, kap, t),
             gram.TikhonovConfig(delta=delta, mode="absolute"),
             labels,
             extended=True,
@@ -350,9 +293,8 @@ def run_inverse_check(cfg: dict) -> RunResult:
     delta_list = [delta_from_config(spec) for spec in cfg["delta_list"]]
     cells: list[Cell] = []
     for n, kap, t, dcfg in product(cfg["n_list"], cfg["kappa_list"], cfg["t_list"], delta_list):
-        mean_diag = float(kap) * float(t) ** 2
-        delta = dcfg.delta * (mean_diag if dcfg.mode == "relative" else 1.0)
-        labels = rng.standard_normal(int(n))
+        delta = dcfg.delta * (kap * t**2 if dcfg.mode == "relative" else 1.0)
+        labels = rng.standard_normal(n)
         for check_name, fn in (("identity", identity_cell), ("alpha", alpha_cell)):
             key = {"check": check_name, "n": n, "kappa": kap, "t": t, "delta_mode": dcfg.mode, "delta": delta}
             if kap == 0.0:
@@ -362,15 +304,15 @@ def run_inverse_check(cfg: dict) -> RunResult:
             cells.append(Cell(key, partial(fn, key, n, kap, t, delta, labels)))
 
     def pascal_cell(key) -> list[dict]:
-        zmax = int(cfg["stencil_max_order"])
+        zmax = cfg["stencil_max_order"]
         bad = [z for z in range(1, zmax + 1) if not calculus.pascal_shift_identity(z)]
         return [{**key, "status": "ok" if not bad else "error:ShiftIdentity", "residual": float(len(bad)),
                  "detail": f"z<={zmax}"}]
 
     def sigma_cell(key) -> list[dict]:
-        srng = np.random.default_rng(int(cfg["seed"]) + 10)
+        srng = np.random.default_rng(cfg["seed"] + 10)
         worst = 0.0
-        for _ in range(int(cfg["sigma_instances"])):
+        for _ in range(cfg["sigma_instances"]):
             z = int(srng.integers(1, 7))
             d = int(srng.integers(1, 5))
             x0 = augment(srng.uniform(-3, 3, d))
@@ -396,8 +338,8 @@ def run_inverse_check(cfg: dict) -> RunResult:
         key = {"check": check_name}
         cells.append(Cell(key, partial(fn, key)))
 
-    lem_phi = Realization(tuple(Point(np.asarray(p, dtype=float)) for p in lem["points"]))
-    lem_v = Direction(np.asarray(lem["v_phi"], dtype=float))
+    lem_phi = Realization(tuple(Point(p) for p in lem["points"]))
+    lem_v = Direction(lem["v_phi"])
     lem_g = target_from_config(lem["target"])
     kap = kernel.kappa(lem_v, kernel.ANALYTIC).value
     # Written by the sensitivity cells, one key each, and read only after all
@@ -409,12 +351,12 @@ def run_inverse_check(cfg: dict) -> RunResult:
         delta = lem_delta.delta * kap * t**2 if lem_delta.mode == "relative" else lem_delta.delta
         ctx = regression.closed_form_context(ts, kappa=kap, delta=delta)
         law = regression.bias_sensitivity_limit(ctx)
-        wrng = np.random.default_rng(int(cfg["seed"]) + 20)
+        wrng = np.random.default_rng(cfg["seed"] + 20)
         worst = 0.0
         worst_b1 = 0.0
         probes = 0
         measured_active: list[float] = []
-        while probes < int(lem["probes"]):
+        while probes < lem["probes"]:
             w = wrng.standard_normal(lem_phi.dim + 1)
             try:
                 fd = regression.beta_bias_sensitivity(ctx, w, lem_v)
@@ -438,7 +380,7 @@ def run_inverse_check(cfg: dict) -> RunResult:
         row = {**key, "delta": delta, "status": "ok"}
         return [{**row, "residual": worst}, {**row, "check": "beta1_sensitivity", "residual": worst_b1}]
 
-    for t in map(float, lem["t_list"]):
+    for t in lem["t_list"]:
         key = {"check": "beta2_sensitivity", "n": lem_phi.n, "kappa": kap, "t": t, "delta_mode": lem_delta.mode}
         cells.append(Cell(key, partial(sensitivity_cell, key, t)))
 
@@ -460,7 +402,7 @@ KAPPA_HEADER = [
 
 
 def run_kappa(cfg: dict) -> RunResult:
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
 
     def oracle_row(check: str, d, item: str, ana: float, est: kernel.KernelEstimate) -> dict:
         diff = abs(est.value - ana)
@@ -468,23 +410,23 @@ def run_kappa(cfg: dict) -> RunResult:
                 "std_error": est.std_error, "abs_diff": diff, "within_4se": diff <= 4 * est.std_error}
 
     def pair_cells(d) -> list[dict]:
-        fs = kernel.sample_features(int(d), int(cfg["k_features"]), seed + int(d))
-        prng = np.random.default_rng(seed + 100 + int(d))
+        fs = kernel.sample_features(d, cfg["k_features"], seed + d)
+        prng = np.random.default_rng(seed + 100 + d)
         out = []
-        for i in range(int(cfg["pairs_per_dim"])):
-            x = augment(prng.uniform(-2, 2, int(d)))
-            y = augment(prng.uniform(-2, 2, int(d)))
+        for i in range(cfg["pairs_per_dim"]):
+            x = augment(prng.uniform(-2, 2, d))
+            y = augment(prng.uniform(-2, 2, d))
             est = kernel.ntk(x, y, kernel.MonteCarlo(fs))
             out.append(oracle_row("pair", d, f"pair{i}", kernel.ntk(x, y, kernel.ANALYTIC).value, est))
         return out
 
     def diag_cells(d) -> list[dict]:
-        prng = np.random.default_rng(seed + 200 + int(d))
+        prng = np.random.default_rng(seed + 200 + d)
         out = []
-        for i in range(int(cfg["diag_points_per_dim"])):
-            x = augment(prng.uniform(-2, 2, int(d)))
-            dseed = seed + 300 + int(d) * 17 + i
-            est = kernel.diagonal(x, int(cfg["diag_k_features"]), dseed, int(cfg["diag_chunk"])).value
+        for i in range(cfg["diag_points_per_dim"]):
+            x = augment(prng.uniform(-2, 2, d))
+            dseed = seed + 300 + d * 17 + i
+            est = kernel.diagonal(x, cfg["diag_k_features"], dseed, cfg["diag_chunk"]).value
             ana = float(x.coords @ x.coords)
             out.append({"check": "diag", "d": d, "item": f"x{i}", "status": "ok", "analytic": ana, "estimate": est,
                         "abs_diff": abs(est - ana) / ana, "within_4se": abs(est - ana) <= 1e-3 * ana})
@@ -492,11 +434,11 @@ def run_kappa(cfg: dict) -> RunResult:
 
     def kappa_cells() -> list[dict]:
         out = []
-        for i in range(int(cfg["kappa_directions"])):
+        for i in range(cfg["kappa_directions"]):
             d = 2 + (i % 2)
             vrng = np.random.default_rng(seed + 400 + i)
             v = Direction(vrng.standard_normal(d) * 2.0)
-            est = kernel.diagonal(-v.augmented(), int(cfg["kappa_k_features"]), seed + 500 + i)
+            est = kernel.diagonal(-v.augmented(), cfg["kappa_k_features"], seed + 500 + i)
             out.append(oracle_row("kappa", d, f"v{i}", kernel.kappa(v, kernel.ANALYTIC).value, est))
         return out
 
@@ -525,22 +467,22 @@ MLP_HEADER = [
 
 
 def run_mlp_compare(cfg: dict) -> RunResult:
-    d = int(cfg["d"])
+    d = cfg["d"]
     _, phi, g, v_phi = _scenario(cfg)
-    ts = shift_set(phi, v_phi, float(cfg["t"]), g)
+    ts = shift_set(phi, v_phi, cfg["t"], g)
     km = gram.assemble_gram(ts, kernel.ANALYTIC)
     alpha = gram.tikhonov_solve(km, delta_from_config(cfg["delta"]), ts.labels)
     predictor = regression.PointWisePredictor(training=ts, alpha=alpha)
-    erng = np.random.default_rng(int(cfg["eval_points_seed"]))
-    box = float(cfg["eval_box"])
-    eval_pts = [Point(erng.uniform(-box, box, d)) for _ in range(int(cfg["eval_points"]))]
+    erng = np.random.default_rng(cfg["eval_points_seed"])
+    box = cfg["eval_box"]
+    eval_pts = [Point(erng.uniform(-box, box, d)) for _ in range(cfg["eval_points"])]
 
     def width_cells(width) -> list[dict]:
-        mc = mlp.MLPConfig(width=int(width), steps=int(cfg["max_steps"]), seed=int(cfg["seed"]))
+        mc = mlp.MLPConfig(width=width, steps=cfg["max_steps"], seed=cfg["seed"])
         model0 = mlp.init_model(mc, d)
         f0 = mlp.evaluate_batch(model0, ts.shifted)
         loss0 = 0.5 * float(np.sum((f0 - ts.labels) ** 2))
-        target = float(cfg["loss_target_ratio"]) * loss0
+        target = cfg["loss_target_ratio"] * loss0
         model, trace = mlp.train(model0, ts, mc, target_loss=target)
         disp = mlp.parameter_displacement(model0, model)
         out = [{"width": width, "item": "train", "status": "ok", "steps": len(trace) - 1,
@@ -555,7 +497,7 @@ def run_mlp_compare(cfg: dict) -> RunResult:
         return out
 
     def order_row(ok: list[dict]) -> list[dict]:
-        displacements = {int(rec["width"]): rec["displacement"] for rec in ok if rec["item"] == "train"}
+        displacements = {rec["width"]: rec["displacement"] for rec in ok if rec["item"] == "train"}
         if len(displacements) < 2:
             return []
         ws = sorted(displacements)
@@ -584,9 +526,5 @@ def load_config(subcommand: str, path=None, seed_override=None, threads_override
                 user = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    cfg = overlay_config(subcommand, user)
-    if seed_override is not None:
-        cfg["seed"] = int(seed_override)
-    if threads_override is not None:
-        cfg["threads"] = int(threads_override)
-    return cfg
+    overrides = {"seed": seed_override, "threads": threads_override}
+    return overlay_config(subcommand, user, {key: value for key, value in overrides.items() if value is not None})

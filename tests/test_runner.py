@@ -1,10 +1,11 @@
 """Sweep orchestration: configs, determinism, cell isolation, CLI contract."""
 
-import csv
+import importlib.util
 import json
 import re
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from ntkorigin import (
     shift_set,
 )
 from ntkorigin.cli import main
-from ntkorigin.configs import DEFAULTS, default_config
+from ntkorigin.configs import DEFAULTS, default_config, overlay_config
 from ntkorigin.kernel import DIAGONAL_TILE
 from ntkorigin.runner import (
     RUNNERS,
@@ -92,6 +93,34 @@ class TestConfigs:
         for name, cfg in DEFAULTS.items():
             text = json.dumps(cfg, sort_keys=True)
             assert json.loads(text) == cfg, name
+
+    @pytest.mark.parametrize("sub", list(DEFAULTS))
+    def test_defaults_pass_their_rules_unchanged(self, sub):
+        # Every key has a rule, the nested bias_sensitivity block included,
+        # and no rule rewrites a packaged value, not even an int to a float.
+        assert json.dumps(overlay_config(sub)) == json.dumps(default_config(sub))
+
+    def test_numbers_load_as_the_floats_the_runners_read(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"t_list": [100, 1000], "radius": 1, "box": [-1, 1], "v_phi": [1, 0]}))
+        cfg = load_config("theorem1", path)
+        assert cfg["t_list"] == [100, 1000] and cfg["radius"] == 1 and cfg["box"] == [-1, 1]
+        assert all(type(x) is float for x in [*cfg["t_list"], cfg["radius"], *cfg["box"], *cfg["v_phi"]])
+
+    @pytest.mark.parametrize("workload", ["origin-analytic", "origin-mc", "kappa-mc", "mlp-train"])
+    def test_benchmark_overlays_load_as_intended(self, tmp_path, monkeypatch, workload):
+        # The benchmark refuses to run when a config loads other than it
+        # wrote it, so no rule may reject or rewrite one of its values.
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(bench))
+        spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+        bench_run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_run)
+        path = tmp_path / "overlay.json"
+        for cseed in bench_run.POOL:
+            for sub, overlay in bench_run.sweeps(workload, cseed):
+                path.write_text(json.dumps(overlay))
+                assert bench_run.guard_config(sub, overlay, path) == []
 
     def test_default_is_a_copy(self):
         a = default_config("theorem1")
@@ -321,9 +350,10 @@ class TestCli:
         assert main(["farfield", "--config", str(bad)]) == 1
 
     def test_failed_cell_returns_two(self, tmp_path):
+        # A valid config whose one solve fails its residual gate.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
-            {"t_list": [-5.0], "n_directions": 1, "include_shift_direction": False,
+            {"n": 128, "t_list": [1e6], "n_directions": 1, "include_shift_direction": False,
              "include_orthogonal": False}))
         rc = main(["theorem1", "--config", str(cfg), "--out", str(tmp_path / "t.csv")])
         assert rc == 2
@@ -347,17 +377,50 @@ class TestCli:
         path.write_text(json.dumps({"kappa_mc_features": 0}))
         out = tmp_path / "out.csv"
         assert main(["gram-limit", "--config", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "config error: feature count must be >= 1, got 0\n"
+        assert capsys.readouterr().err == "config error: gram-limit kappa_mc_features must be an integer >= 1, got 0\n"
         assert not out.exists()
 
-    def test_empty_diagonal_chunk_fails_the_diag_rows(self, tmp_path):
+    def test_empty_diagonal_chunk_fails_the_diag_rows(self):
+        # A library caller skips the config rules and keeps cell isolation.
+        cfg = default_config("kappa")
+        cfg.update({"diag_chunk": 0, "k_features": 1000, "kappa_k_features": 1000})
+        res = RUNNERS["kappa"](cfg)
+        check, status = res.header.index("check"), res.header.index("status")
+        failed = [(row[check], row[status]) for row in res.rows if row[status].startswith("error:")]
+        assert failed == [("diag", "error:InvalidInput")] * 3 and res.failures == 3
+
+    @pytest.mark.parametrize("sub, overlay, args, key", [
+        ("theorem1", {"n": -1}, [], "n"),
+        ("theorem1", {"n": 2.5}, [], "n"),
+        ("theorem1", {"box": [1]}, [], "box"),
+        ("theorem1", {"radius": "x"}, [], "radius"),
+        ("theorem1", {"seed": -1}, [], "seed"),
+        ("theorem1", {"t_list": [0]}, [], "t_list"),
+        ("theorem1", {"t_list": [-100]}, [], "t_list"),
+        ("theorem1", {"v_phi": [1, 0, 0]}, [], "v_phi"),
+        ("gram-limit", {"features_seed": "x"}, [], "features_seed"),
+        ("farfield", {"window": [1000.0, 100.0]}, [], "window"),
+        ("farfield", {"target": {"u": [1.0, 2.0, 3.0]}}, [], "target"),
+        ("farfield", {"delta": {"value": float("inf")}}, [], "delta"),
+        ("mlp-compare", {"delta": {"value": float("nan")}}, [], "delta"),
+        ("mlp-compare", {"eval_points": -1}, [], "eval_points"),
+        ("inverse-check", {"n_list": [0]}, [], "n_list"),
+        ("inverse-check", {"bias_sensitivity": {"probes": 0}}, [], "bias_sensitivity.probes"),
+        ("kappa", {"diag_chunk": 0}, [], "diag_chunk"),
+        ("theorem1", {}, ["--seed", "-1"], "seed"),
+        ("theorem1", {}, ["--threads", "0"], "threads"),
+    ], ids=["n-negative", "n-fractional", "box-one-bound", "radius-string", "seed-negative", "t-zero",
+            "t-negative", "v-phi-wrong-length", "features-seed-string", "window-reversed", "target-wrong-length",
+            "delta-infinite", "delta-nan", "eval-points-negative", "n-list-zero", "probes-zero", "diag-chunk-zero", "cli-seed-negative", "cli-threads-zero"])
+    def test_value_breaking_its_rule_is_a_config_error(self, tmp_path, capsys, sub, overlay, args, key):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"diag_chunk": 0, "k_features": 1000, "kappa_k_features": 1000}))
+        path.write_text(json.dumps(overlay))
         out = tmp_path / "out.csv"
-        assert main(["kappa", "--config", str(path), "--out", str(out)]) == 2
-        rows = csv.DictReader(out.read_text().splitlines())
-        failed = [(row["check"], row["status"]) for row in rows if row["status"].startswith("error:")]
-        assert failed == [("diag", "error:InvalidInput")] * 3
+        assert main([sub, "--config", str(path), "--out", str(out), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert re.match(rf"config error: {sub} {re.escape(key)}[ :]", err)
+        assert not out.exists()
 
     def test_print_config(self, capsys):
         assert main(["kappa", "--print-config"]) == 0

@@ -4,7 +4,9 @@
 
 Runs every subcommand's packaged default config, plus `theorem1` in Monte
 Carlo mode with 10000 features, in process through `runner.RUNNERS`, and
-prints one `sha256  name` line per CSV. Run it on two checkouts and compare
+prints one `sha256  name` line per CSV. Each config is built by
+`overlay_config`, as the CLI builds it, so a config rule that changes a
+value's type shows up in the digests. Run it on two checkouts and compare
 the output to check that a change keeps every default CSV byte-identical.
 """
 
@@ -16,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ntkorigin.configs import default_config  # noqa: E402
+from ntkorigin.configs import overlay_config  # noqa: E402
 from ntkorigin.runner import RUNNERS  # noqa: E402
 
 CASES = [(sub, sub, {}) for sub in RUNNERS]
@@ -25,8 +27,7 @@ CASES.append(("theorem1-mc", "theorem1", {"mode": "mc", "k_features": 10000}))
 
 def main() -> int:
     for name, sub, overlay in CASES:
-        cfg = default_config(sub)
-        cfg.update(overlay)
+        cfg = overlay_config(sub, overlay)
         digest = hashlib.sha256(RUNNERS[sub](cfg).csv().encode()).hexdigest()
         print(f"{digest}  {name}", flush=True)
     return 0
