@@ -16,10 +16,10 @@ the test suite gates it against the Monte Carlo estimator before anything else
 relies on it.
 
 `kernel_matrix` evaluates either mode for every pair drawn from two stacks of
-augmented rows and is what gram assembly and the predictors call; `ntk` is the
-same computation for a single pair, with the Monte Carlo standard error, and
-`diagonal` is the Monte Carlo k(x, x) over features it draws from a seed,
-tile by tile, without ever holding a whole sample.
+augmented rows and is what gram assembly and the predictors call. `ntk` (one
+pair, with the Monte Carlo standard error), `diagonal` (k(x, x) over features
+it draws from a seed) and `kappa` integrate one tile of features at a time
+into one K-length vector, which the standard error then reuses.
 
 Ties follow the ">= 0" convention: an exactly-zero pre-activation indicates 1.
 """
@@ -159,8 +159,8 @@ def _mc_integrand(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray) -> Iterat
     Every row is written into the same block, so a caller must be done with a
     block before it asks for the next. Pre-activations are one matrix-vector
     product per row, and the feature axis is contiguous, so a mean over it
-    sums in the same order for a single pair as for a whole block. When xs is
-    ys, its pre-activations are reused.
+    sums in the same order as `_estimate` does over the vector `_fill` gives
+    for a single pair. When xs is ys, its pre-activations are reused.
 
     Activity is a float 0/1 mask applied by two in-place multiplies. Scaling
     by 1.0 or 0.0 twice gives the same bits, signed zeros included, as one
@@ -208,22 +208,7 @@ def kernel_matrix(xs: np.ndarray, ys: np.ndarray, mode: KernelMode) -> np.ndarra
     return _arc_cosine(xs, ys)
 
 
-def _estimate(contribs: np.ndarray) -> KernelEstimate:
-    k = contribs.size
-    se = float(contribs.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0
-    return KernelEstimate(value=float(contribs.mean()), std_error=se)
-
-
-def ntk(x: AugmentedPoint | np.ndarray, y: AugmentedPoint | np.ndarray, mode: KernelMode) -> KernelEstimate:
-    """Kernel value for a pair of augmented vectors under the requested mode,
-    with the Monte Carlo standard error of the estimate."""
-    xs, ys = _row_pair(_aug_coords(x)[None], _aug_coords(y)[None])
-    if isinstance(mode, MonteCarlo):
-        return _estimate(next(_mc_integrand(xs, ys, mode.features.weights))[0])
-    return KernelEstimate(value=float(_arc_cosine(xs, ys)[0, 0]))
-
-
-# Weight rows per tile of the diagonal integrand. A multiple of 16, so a tile
+# Weight rows per tile of the Monte Carlo integrand. A multiple of 16, so a tile
 # boundary never splits a group of rows that a BLAS matrix-vector kernel
 # computes together: each row of a tile goes through the same kernel code as
 # in one product over the whole chunk, and gets the same bits.
@@ -246,28 +231,59 @@ def _tiles(n: int) -> Iterator[tuple[int, int]]:
         start = stop
 
 
-def _fill_diagonal(x: np.ndarray, out: np.ndarray, rows: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """Fill `out` with the integrand at the pair (x, x), one tile at a time.
+def _fill(x: np.ndarray, y: np.ndarray, out: np.ndarray, rows: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """Fill `out` with the integrand at the pair (x, y), one tile at a time.
 
     `rows(start, stop)` gives the weight rows start:stop, so a tile of weights
-    can be drawn just before it is used. Each tile applies the op sequence of
-    `_mc_integrand` at (x, x): pre-activations s, the float mask of s >= 0,
-    then `((x.x + s*s) * mask) * mask`, with s and the sum written straight
-    into `out`. Apart from `out`, only one tile-length mask is allocated.
+    can be drawn just before it is used. Each tile applies `_mc_integrand`'s
+    op sequence, `((x.y + s_x*s_y) * mask_y) * mask_x` with float masks of
+    s >= 0, writing s_y into `out` and s_x into mask_x's buffer; when y is x,
+    s_y and mask_y serve as both. Only the tile-length masks are allocated.
     """
-    row = x[None, None, :]
-    dot = np.vecdot(row, row)[0, 0]
-    mask = np.empty(min(DIAGONAL_TILE + 1, out.size))
+    dot = np.vecdot(x[None, None, :], y[None, None, :])[0, 0]
+    mask_y = np.empty(min(DIAGONAL_TILE + 1, out.size))
+    mask_x = mask_y if y is x else np.empty_like(mask_y)
     for start, stop in _tiles(out.size):
+        w = rows(start, stop)
+        if w.shape[1] != x.size:
+            raise DimensionError(f"feature dim {w.shape[1]} != augmented dim {x.size}")
         s = out[start:stop]
-        f = mask[: s.size]
-        np.matmul(rows(start, stop), x, out=s)
-        np.greater_equal(s, 0.0, out=f)
-        np.multiply(s, s, out=s)
+        fy, fx = mask_y[: s.size], mask_x[: s.size]
+        np.matmul(w, y, out=s)
+        np.greater_equal(s, 0.0, out=fy)
+        if y is x:
+            np.multiply(s, s, out=s)
+        else:
+            np.matmul(w, x, out=fx)
+            np.multiply(fx, s, out=s)
+            np.greater_equal(fx, 0.0, out=fx)
         np.add(dot, s, out=s)
-        s *= f
-        s *= f
+        s *= fy
+        s *= fx
     return out
+
+
+def _estimate(contribs: np.ndarray) -> KernelEstimate:
+    """Mean and standard error of contribs by the steps of numpy's `mean()` and
+    `std(ddof=1)`, with the squared deviations written over contribs."""
+    k = contribs.size
+    mean = np.add.reduce(contribs, keepdims=True) / k
+    if k == 1:
+        return KernelEstimate(value=float(mean[0]))
+    np.subtract(contribs, mean, out=contribs)
+    np.multiply(contribs, contribs, out=contribs)
+    std = np.sqrt(np.add.reduce(contribs) / (k - 1))
+    return KernelEstimate(value=float(mean[0]), std_error=float(std / np.sqrt(k)))
+
+
+def ntk(x: AugmentedPoint | np.ndarray, y: AugmentedPoint | np.ndarray, mode: KernelMode) -> KernelEstimate:
+    """Kernel value for a pair of augmented vectors under the requested mode,
+    with the Monte Carlo standard error of the estimate."""
+    xs, ys = _row_pair(_aug_coords(x)[None], _aug_coords(y)[None])
+    if isinstance(mode, MonteCarlo):
+        weights = mode.features.weights
+        return _estimate(_fill(xs[0], ys[0], np.empty(weights.shape[0]), lambda start, stop: weights[start:stop]))
+    return KernelEstimate(value=float(_arc_cosine(xs, ys)[0, 0]))
 
 
 def diagonal(x: AugmentedPoint | np.ndarray, count: int, seed: int, chunk: int | None = None) -> KernelEstimate:
@@ -276,10 +292,11 @@ def diagonal(x: AugmentedPoint | np.ndarray, count: int, seed: int, chunk: int |
 
     Each chunk is drawn and integrated one tile of `DIAGONAL_TILE` weight rows
     at a time, in the generator's order, into one chunk-length vector, so no
-    sample is ever held. With one chunk, value and standard error equal those
-    of `ntk(x, x, MonteCarlo(sample_features(d, count, seed)))` bit for bit.
-    With several, each chunk is summed once and its sum of squares feeds the
-    standard error, so no second chunk-length vector is allocated.
+    sample is ever held, and no second chunk-length vector is allocated. With
+    one chunk, the standard error reuses the vector, and value and standard
+    error equal those of `ntk(x, x, MonteCarlo(sample_features(d, count,
+    seed)))` bit for bit. With several, each chunk is summed once and its sum
+    of squares feeds the standard error.
     """
     if count < 1:
         raise InvalidInput(f"feature count must be >= 1, got {count}")
@@ -293,10 +310,10 @@ def diagonal(x: AugmentedPoint | np.ndarray, count: int, seed: int, chunk: int |
     tile = np.empty((min(DIAGONAL_TILE + 1, contribs.size), x.size))
     draw = lambda start, stop: gen.standard_normal(out=tile[: stop - start])  # noqa: E731
     if contribs.size == count:
-        return _estimate(_fill_diagonal(x, contribs, draw))
+        return _estimate(_fill(x, x, contribs, draw))
     total = squares = 0.0
     for start in range(0, count, chunk):
-        c = _fill_diagonal(x, contribs[: min(chunk, count - start)], draw)
+        c = _fill(x, x, contribs[: min(chunk, count - start)], draw)
         total += float(c.sum())
         squares += float(np.vecdot(c, c))
     var = max(squares - total * total / count, 0.0) / (count - 1)
@@ -313,17 +330,15 @@ def kappa(v: Direction, mode: KernelMode) -> KernelEstimate:
 
     In Monte Carlo mode it is the kernel integrand at the pair (-v_hat, -v_hat),
     integrated tile by tile over the sample into one K-length vector of
-    contributions, so the estimate needs about two K-length vectors (the
-    contributions and the standard error's deviations) besides the sample.
+    contributions, which the standard error reuses, so the estimate needs one
+    K-length vector and one tile-length mask besides the sample.
     `diagonal(-v.augmented(), K, seed)` gives the same bits without holding
     the sample `sample_features(d, K, seed)`; pass one only to share it.
     """
     if isinstance(mode, MonteCarlo):
         weights = mode.features.weights
         lim = -v.augmented()
-        if weights.shape[1] != lim.size:
-            raise DimensionError(f"feature dim {weights.shape[1]} != augmented dim {lim.size}")
-        return _estimate(_fill_diagonal(lim, np.empty(weights.shape[0]), lambda start, stop: weights[start:stop]))
+        return _estimate(_fill(lim, lim, np.empty(weights.shape[0]), lambda start, stop: weights[start:stop]))
     return KernelEstimate(value=float(v.norm**2))
 
 
@@ -331,14 +346,14 @@ def agnosticism_rate(ts: ShiftedTrainingSet, fs: FeatureSample) -> float:
     """Fraction of (point, feature) pairs whose indicator disagrees with its limit.
 
     Disagreement requires |<w, v_hat>| of order 1/t, so the rate shrinks like
-    1/t under standard normal features.
+    1/t under standard normal features. The count is exact and runs one tile
+    of features at a time, so no (n, K) indicator matrix is built.
     """
     if ts.t <= 0:
         raise InvalidInput("agnosticism rate needs a strictly positive shift")
     if fs.dim != ts.dim:
         raise DimensionError(f"feature dim {fs.dim} != training dim {ts.dim}")
-    pre = ts.augmented @ fs.weights.T
-    inds = pre >= 0.0
-    vhat = ts.direction.augmented()
-    lim = (fs.weights @ (-vhat)) >= 0.0
-    return float(np.mean(inds != lim[None, :]))
+    u = -ts.direction.augmented()
+    tiles = (fs.weights[start:stop] for start, stop in _tiles(fs.count))
+    count = sum(int(np.count_nonzero((ts.augmented @ w.T >= 0.0) != (w @ u >= 0.0))) for w in tiles)
+    return count / (ts.n * fs.count)

@@ -236,9 +236,10 @@ GRAM_LIMIT_HEADER = [
 def run_gram_limit(cfg: dict) -> RunResult:
     _, phi, g, v_phi = _scenario(cfg)
     fseed = cfg["seed"] + 1 if cfg["features_seed"] is None else cfg["features_seed"]
-    fs = kernel.sample_features(cfg["d"], cfg["k_features"], fseed)
     kap_ana = kernel.kappa(v_phi, kernel.ANALYTIC).value
     kap_mc = kernel.diagonal(-v_phi.augmented(), cfg["kappa_mc_features"], cfg["seed"] + 2)
+    # Drawn after the kappa estimate, so the sample and its contributions are never held together.
+    fs = kernel.sample_features(cfg["d"], cfg["k_features"], fseed)
     kappas = {"kappa_analytic": kap_ana, "kappa_mc": kap_mc.value, "kappa_se": kap_mc.std_error}
 
     def cell_rows(t: float) -> list[dict]:
@@ -268,6 +269,11 @@ INVERSE_CHECK_HEADER = [
 def run_inverse_check(cfg: dict) -> RunResult:
     rng = np.random.default_rng(cfg["seed"])
 
+    def with_delta(fn, key, n, kap, t, dcfg, labels) -> list[dict]:
+        # Each cell computes its own delta, so a t**2 that overflows fails only that cell.
+        delta = dcfg.delta * (kap * t**2 if dcfg.mode == "relative" else 1.0)
+        return fn({**key, "delta": delta}, n, kap, t, delta, labels)
+
     def identity_cell(key, n, kap, t, delta, labels) -> list[dict]:
         inv = gram.sherman_morrison_inverse(n, kap, t, delta, dtype=np.longdouble)
         direct = np.longdouble(kap) * np.longdouble(t) ** 2 * np.ones(
@@ -293,15 +299,14 @@ def run_inverse_check(cfg: dict) -> RunResult:
     delta_list = [delta_from_config(spec) for spec in cfg["delta_list"]]
     cells: list[Cell] = []
     for n, kap, t, dcfg in product(cfg["n_list"], cfg["kappa_list"], cfg["t_list"], delta_list):
-        delta = dcfg.delta * (kap * t**2 if dcfg.mode == "relative" else 1.0)
         labels = rng.standard_normal(n)
         for check_name, fn in (("identity", identity_cell), ("alpha", alpha_cell)):
-            key = {"check": check_name, "n": n, "kappa": kap, "t": t, "delta_mode": dcfg.mode, "delta": delta}
+            key = {"check": check_name, "n": n, "kappa": kap, "t": t, "delta_mode": dcfg.mode}
             if kap == 0.0:
                 # Degenerate rank-one block: the closed forms reduce to plain
                 # scaled identities, nothing left to validate.
                 fn = lambda key, *_: [{**key, "status": "skipped:degenerate"}]
-            cells.append(Cell(key, partial(fn, key, n, kap, t, delta, labels)))
+            cells.append(Cell(key, partial(with_delta, fn, key, n, kap, t, dcfg, labels)))
 
     def pascal_cell(key) -> list[dict]:
         zmax = cfg["stencil_max_order"]

@@ -4,10 +4,9 @@ The analytic arc-cosine expression is validated here against the Monte Carlo
 estimator before anything downstream gets to rely on it.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import SLACK, tile_bytes, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -490,20 +489,27 @@ class TestStreamedDiagonal:
 
 
 class TestDiagonalTiles:
-    """The diagonal integrand runs tile by tile; at sizes that span several
-    tiles it keeps the bits of the whole-sample pair path."""
+    """The integrand of the diagonal and of a single pair runs tile by tile;
+    at sizes that span several tiles it keeps the bits of the whole-sample
+    pair path."""
 
     def test_tile_is_a_multiple_of_16(self):
         assert TILE % 16 == 0
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), k=several_tiles)
-    def test_fill_equals_pair_integrand_bit_for_bit(self, seed, d, k):
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), t=st.floats(0.0, 1e4), k=several_tiles)
+    def test_fill_equals_pair_integrand_bit_for_bit(self, seed, d, t, k):
+        # The diagonal (x, x), where `_fill` reuses x's pre-activations, and a
+        # pair (x, y) at shift t.
         weights = sample_features(d, k, seed).weights
-        xs = _augmented_rows(np.random.default_rng(seed), 1, d, 0.0)
-        got = kernel._fill_diagonal(xs[0], np.empty(k), lambda start, stop: weights[start:stop])
-        assert _same_bits(got, next(kernel._mc_integrand(xs, xs, weights))[0])
-        assert _same_bits(got, next(_reference_integrand(xs, xs, weights))[0])
+        rng = np.random.default_rng(seed)
+        xs = _augmented_rows(rng, 1, d, 0.0)
+        ys = _augmented_rows(rng, 1, d, t * rng.standard_normal(d))
+        x = xs[0]
+        for a, b, y in ((xs, xs, x), (xs, ys, ys[0])):
+            got = kernel._fill(x, y, np.empty(k), lambda start, stop: weights[start:stop])
+            assert _same_bits(got, next(kernel._mc_integrand(a, b, weights))[0])
+            assert _same_bits(got, next(_reference_integrand(a, b, weights))[0])
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_lone_last_row_keeps_its_bits(self, d):
@@ -512,7 +518,8 @@ class TestDiagonalTiles:
         for seed in range(6):
             weights = sample_features(d, 2 * TILE + 1, seed).weights
             xs = _augmented_rows(np.random.default_rng(seed), 1, d, 0.0)
-            got = kernel._fill_diagonal(xs[0], np.empty(len(weights)), lambda start, stop: weights[start:stop])
+            x = xs[0]
+            got = kernel._fill(x, x, np.empty(len(weights)), lambda start, stop: weights[start:stop])
             assert _same_bits(got, next(kernel._mc_integrand(xs, xs, weights))[0])
 
     def test_tiles_cover_the_rows_once(self):
@@ -538,35 +545,91 @@ class TestDiagonalTiles:
             kappa(Direction([0.6, 0.8]), MonteCarlo(sample_features(3, 10, seed=1)))
 
 
-def _traced_peak(fn) -> int:
-    """Peak bytes traced by tracemalloc (numpy's data buffers included) while fn runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def _reference_agnosticism_rate(ts, fs):
+    """The rate as it was before the tiled count: the mean of one (n, K) bool matrix."""
+    pre = ts.augmented @ fs.weights.T
+    lim = (fs.weights @ (-ts.direction.augmented())) >= 0.0
+    return float(np.mean((pre >= 0.0) != lim[None, :]))
 
 
-# Room for the interpreter's own small allocations during a call.
-SLACK = 64 * 1024
+class TestTiledEstimates:
+    """Single-pair `ntk`, its standard error and `agnosticism_rate` run tile
+    by tile; at sizes that span several tiles they keep the bits of the
+    whole-sample references."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), t=st.floats(0.0, 1e4), k=several_tiles)
+    def test_ntk_equals_reference_estimate_bit_for_bit(self, seed, d, t, k):
+        fs = sample_features(d, k, seed)
+        rng = np.random.default_rng(seed)
+        xs = _augmented_rows(rng, 1, d, 0.0)
+        ys = _augmented_rows(rng, 1, d, t * rng.standard_normal(d))
+        for a, b in ((xs, ys), (ys, xs), (ys, ys)):
+            est = ntk(a[0], b[0], MonteCarlo(fs))
+            value, se = _reference_estimate(next(_reference_integrand(a, b, fs.weights))[0])
+            assert _same_bits(est.value, value) and _same_bits(est.std_error, se)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), n=st.integers(1, 8), t=st.floats(0.01, 1e4),
+           k=several_tiles)
+    def test_agnosticism_rate_equals_one_shot_mean_bit_for_bit(self, seed, d, n, t, k):
+        rng = np.random.default_rng(seed)
+        phi = Realization(tuple(Point(row) for row in rng.uniform(-1.0, 1.0, (n, d))))
+        ts = shift_set(phi, Direction(rng.standard_normal(d)), t, SinusoidalTarget(u=np.ones(d)))
+        fs = sample_features(d, k, seed)
+        assert _same_bits(agnosticism_rate(ts, fs), _reference_agnosticism_rate(ts, fs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.one_of(st.integers(1, 3000), several_tiles, st.integers(1, 10**6)),
+        scale=st.floats(1e-3, 1e3),
+        zeros=st.floats(0.0, 1.0),
+    )
+    def test_estimate_equals_numpy_mean_and_std_bit_for_bit(self, seed, k, scale, zeros):
+        # Integrand-like contributions: an offset, a spread and a share of
+        # exact zeros from inactive features.
+        rng = np.random.default_rng(seed)
+        contribs = np.where(rng.random(k) < zeros, 0.0, scale * (1.0 + rng.standard_normal(k)))
+        value, se = _reference_estimate(contribs)
+        est = kernel._estimate(contribs)
+        assert _same_bits(est.value, value) and _same_bits(est.std_error, se)
 
 
 class TestDiagonalMemory:
     def test_diagonal_holds_one_chunk_vector_and_one_tile(self):
-        # Two and a bit chunks: the chunk-length vector and the tile are reused.
+        # Two and a bit chunks: the chunk-length vector and the tile of d+1
+        # weight columns with its mask are reused.
         d, chunk = 5, 200_000
         x = augment(np.random.default_rng(3).uniform(-2.0, 2.0, d))
-        weights_tile, mask = 8 * (TILE + 1) * (d + 1), 8 * (TILE + 1)
-        peak = _traced_peak(lambda: diagonal(x, 2 * chunk + 1, seed=3, chunk=chunk))
-        assert peak <= 8 * chunk + weights_tile + mask + SLACK
+        peak, _ = traced_peak(lambda: diagonal(x, 2 * chunk + 1, seed=3, chunk=chunk))
+        assert peak <= 8 * chunk + tile_bytes(d + 2) + SLACK
 
-    def test_kappa_needs_two_sample_length_vectors(self):
-        # The contributions and the deviations of the standard error.
+    def test_kappa_holds_one_sample_length_vector_and_a_mask(self):
+        # The contributions, which the standard error's deviations overwrite,
+        # and one tile-length mask.
         k = 200_000
         fs = sample_features(2, k, seed=4)
-        peak = _traced_peak(lambda: kappa(Direction([1.0, 2.0]), MonteCarlo(fs)))
-        assert peak <= 2 * 8 * k + SLACK
+        peak, _ = traced_peak(lambda: kappa(Direction([1.0, 2.0]), MonteCarlo(fs)))
+        assert peak <= 8 * k + tile_bytes(1) + SLACK
+
+
+class TestEstimateMemory:
+    def test_ntk_holds_one_sample_length_vector_and_two_masks(self):
+        # The contributions and a tile-length mask per point; x's
+        # pre-activations share the buffer of its mask.
+        k = 200_000
+        fs = sample_features(2, k, seed=6)
+        x, y = augment([0.3, -1.2]), augment([1.5, 0.4])
+        peak, _ = traced_peak(lambda: ntk(x, y, MonteCarlo(fs)))
+        assert peak <= 8 * k + tile_bytes(2) + SLACK
+
+    def test_agnosticism_rate_holds_one_tile_of_indicators(self):
+        # One tile's (n, tile) pre-activations, a float column per point, and
+        # room for their bool indicators; never an (n, K) matrix.
+        ts, fs = TestAgnosticismRate._setup(1000.0)
+        peak, _ = traced_peak(lambda: agnosticism_rate(ts, fs))
+        assert peak <= tile_bytes(ts.n + 1) + SLACK
 
 
 class TestAgnosticismRate:

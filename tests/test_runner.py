@@ -4,11 +4,11 @@ import importlib.util
 import json
 import re
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import SLACK, tile_bytes, traced_peak
 
 from ntkorigin import (
     ConfigError,
@@ -24,7 +24,6 @@ from ntkorigin import (
 )
 from ntkorigin.cli import main
 from ntkorigin.configs import DEFAULTS, default_config, overlay_config
-from ntkorigin.kernel import DIAGONAL_TILE
 from ntkorigin.runner import (
     RUNNERS,
     load_config,
@@ -71,21 +70,6 @@ def small_config(sub, **overrides):
 
 def small_theorem1(**overrides):
     return small_config("theorem1", **{"t_list": [100.0], **overrides})
-
-
-def _traced_peak(fn):
-    """(peak bytes traced by tracemalloc while fn runs, fn's result)."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
-
-
-def _tile_bytes(d: int) -> int:
-    """One tile of the Monte Carlo diagonal: its weight rows and its mask."""
-    return 8 * (DIAGONAL_TILE + 1) * (d + 2)
 
 
 class TestConfigs:
@@ -358,6 +342,21 @@ class TestCli:
         rc = main(["theorem1", "--config", str(cfg), "--out", str(tmp_path / "t.csv")])
         assert rc == 2
 
+    def test_overflowing_delta_fails_its_cells(self, tmp_path, capsys):
+        # A relative delta, kappa * t**2, overflows a float at t=1e200. Each
+        # cell computes its own delta, so those cells give stub rows and the
+        # run goes on to write its CSV.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"t_list": [1e200]}))
+        out = tmp_path / "out.csv"
+        assert main(["inverse-check", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        check, mode, status = (header.index(col) for col in ("check", "delta_mode", "status"))
+        relative = {row[status] for row in rows if row[check] in ("identity", "alpha") and row[mode] == "relative"}
+        assert relative == {"error:OverflowError"}
+        assert all(row[status] == "ok" for row in rows if row[check] not in ("identity", "alpha"))
+
     @pytest.mark.parametrize("sub, overlay", [
         ("farfield", {"v_phi": [0, 0]}),
         ("theorem1", {"mode": "mc", "k_features": 0}),
@@ -530,22 +529,35 @@ class TestSweepScience:
         expected = agnosticism_rate(ts, sample_features(2, 2000, expected_seed))
         assert res.rows[0][idx["agnosticism_rate"]] == expected
 
-    def test_kappa_rows_hold_one_sample_at_a_time(self):
+    def test_kappa_rows_hold_one_sample_length_vector_and_a_tile(self):
         # Directions alternate d=2 and d=3. Each row draws its features one
-        # tile at a time, so the peak is the two K-length vectors of its
-        # estimate and one d=3 tile of weights with its mask; holding one
-        # row's sample (32 bytes a feature at d=3) would go above it.
+        # tile at a time into one K-length vector, which its standard error
+        # reuses, so the peak is that vector and one d=3 tile of weights with
+        # its mask; holding one row's sample (32 bytes a feature at d=3), or a
+        # second K-length vector, would go above it. The rest is room for the
+        # records and the CSV text.
         k = 200_000
         cfg = small_config("kappa", pair_dims=[], kappa_directions=3, kappa_k_features=k)
-        peak, res = _traced_peak(lambda: run_kappa(cfg))
+        peak, res = traced_peak(lambda: run_kappa(cfg))
         assert res.failures == 0
-        assert peak <= 2 * 8 * k + _tile_bytes(3) + 128 * 1024
+        assert peak <= 8 * k + tile_bytes(3 + 2) + 2 * SLACK
 
-    def test_gram_limit_never_holds_the_kappa_sample(self):
-        # The kappa_mc_features-row sample (24 bytes a row at d=2) would
-        # exceed the two K-length vectors of the estimate and one tile.
+    def test_gram_limit_kappa_holds_one_sample_length_vector_and_a_tile(self):
+        # The kappa_mc_features-row sample (24 bytes a row at d=2), or a
+        # second K-length vector, would exceed the one vector of the estimate
+        # and one tile.
         k = 400_000
         cfg = small_config("gram-limit", kappa_mc_features=k, t_list=[100.0])
-        peak, res = _traced_peak(lambda: RUNNERS["gram-limit"](cfg))
+        peak, res = traced_peak(lambda: RUNNERS["gram-limit"](cfg))
         assert res.failures == 0
-        assert peak <= 2 * 8 * k + _tile_bytes(2) + 128 * 1024
+        assert peak <= 8 * k + tile_bytes(2 + 2) + 2 * SLACK
+
+    def test_gram_limit_draws_its_feature_sample_after_the_kappa_estimate(self):
+        # The k_features sample (2.4 MB at d=2) and the agnosticism rate's
+        # tiles fit under the kappa estimate's bound; together with the
+        # estimate's K-length vector, the sample would not.
+        k = 400_000
+        cfg = small_config("gram-limit", kappa_mc_features=k, k_features=100_000, t_list=[100.0])
+        peak, res = traced_peak(lambda: RUNNERS["gram-limit"](cfg))
+        assert res.failures == 0
+        assert peak <= 8 * k + tile_bytes(2 + 2) + 2 * SLACK
