@@ -297,7 +297,9 @@ RULES = {
     "bias_sensitivity.points": ("a non-empty list of points of one length", lambda v, d: _is_points(v, d), _floats),
     "mode": ("'analytic' or 'mc'", lambda v, d: v in ("analytic", "mc")),
     "include_shift_direction": _BOOL,
-    "include_orthogonal": _BOOL,
+    # A direction orthogonal to the shift exists only for d >= 2.
+    "include_orthogonal": ("true or false, and false when d = 1",
+                           lambda v, d: isinstance(v, bool) and not (v and d == 1)),
     # A spec that does not build raises a ConfigError naming its flaw.
     "target": ("a target spec on {d} inputs", lambda v, d: _target_dims(v) == {d}),
     "delta": ("a delta spec", lambda v, d: delta_from_config(v) is not None),

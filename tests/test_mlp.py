@@ -1,5 +1,7 @@
 """Finite-width network: init, forward pass, gradient descent, lazy tracking."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,8 +134,51 @@ class TestTrain:
 
 
 def _two_pass_train(model, ts, cfg, target_loss=None):
-    """Reference copy of `train` as it was before the single-pass loop: a
-    forward pass at the top of every step and a second one to score it."""
+    """Reference copy of `train`'s arithmetic, hidden weights as columns, with
+    a forward pass at the top of every step and a second one to score it."""
+    a_in = ts.augmented
+    y = ts.labels
+    sq = np.sqrt(model.width)
+    w = model.hidden.T.copy()
+    out = model.output.copy()
+    if cfg.lr is None:
+        z0 = a_in @ w
+        contrib = ((a_in * a_in).sum(axis=1)[:, None] + z0**2) * (z0 >= 0.0)
+        lr = 0.1 / float(contrib.mean(axis=1).mean())
+    else:
+        lr = cfg.lr
+    scale = lr / sq
+    losses = np.empty(cfg.steps + 1)
+    f = np.maximum(a_in @ w, 0.0) @ out / sq
+    loss0 = 0.5 * float(np.sum((f - y) ** 2))
+    losses[0] = loss0
+    abort_at = 10.0 * loss0 if loss0 > 0 else np.inf
+    for step in range(cfg.steps):
+        z = a_in @ w
+        act = (z >= 0.0).astype(np.float64)
+        relu = np.maximum(z, 0.0)
+        r = (relu @ out / sq - y) * scale
+        grad_out = relu.T @ r
+        grad_w = (a_in.T * r) @ act * out
+        w = w - grad_w
+        out = out - grad_out
+        loss = 0.5 * float(np.sum((np.maximum(a_in @ w, 0.0) @ out / sq - y) ** 2))
+        losses[step + 1] = loss
+        if not np.isfinite(loss):
+            raise NaNError(f"loss became non-finite at step {step + 1}")
+        if loss > abort_at:
+            raise DivergenceError(f"loss {loss:.3e} exceeded 10x initial at step {step + 1}")
+        if target_loss is not None and loss <= target_loss:
+            losses = losses[: step + 2]
+            break
+    return MLPModel(hidden=w.T, output=out), losses
+
+
+def _row_layout_two_pass_train(model, ts, cfg, target_loss=None):
+    """Reference copy of the row-layout arithmetic `train` used before its
+    hidden weights became columns: one row per hidden unit, the residual
+    times the output weights masked over an (n, m) matrix, and a forward
+    pass at the top of every step and a second one to score it."""
     a_in = ts.augmented
     y = ts.labels
     sq = np.sqrt(model.width)
@@ -179,26 +224,62 @@ def _outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
+# Training runs drawn by both trajectory tests.
+_RUNS = dict(
+    width=st.sampled_from([1, 2, 3, 64, 129]),
+    n=st.integers(min_value=1, max_value=8),
+    d=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**16),
+    lr=st.none() | st.floats(min_value=1e-4, max_value=1e-2),
+)
+
+
+def _run(width, n, d, seed, lr):
+    """(model, training set, config) of one drawn run of 30 steps."""
+    rng = np.random.default_rng(seed)
+    phi = Realization(tuple(Point(r) for r in rng.uniform(-1, 1, (n, d))))
+    g = SinusoidalTarget(u=rng.standard_normal(d), phase=0.4)
+    ts = shift_set(phi, Direction(rng.standard_normal(d)), float(rng.uniform(0.5, 10.0)), g)
+    cfg = MLPConfig(width=width, steps=30, lr=lr, seed=seed)
+    return init_model(cfg, d), ts, cfg
+
+
+def _row_layout_drift(model, ts, cfg):
+    """Largest relative move of `train` from the row-layout reference: of a
+    loss against the reference's largest loss, and of a parameter against
+    the largest entry of its array. None when both fail, which they must
+    alike."""
+    want = _outcome(_row_layout_two_pass_train, model, ts, cfg)
+    got = _outcome(train, model, ts, cfg)
+    if want[0] is ZeroDivisionError:
+        assert got[0] is NumericalFailure
+        return None
+    if isinstance(want[1], str):
+        assert got[0] is want[0]
+        return None
+    assert isinstance(got[1], np.ndarray)
+    moves = [np.max(np.abs(got[1] - want[1])) / np.max(want[1])]
+    for name in ("hidden", "output"):
+        a, b = getattr(got[0], name), getattr(want[0], name)
+        moves.append(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+    return float(max(moves))
+
+
+# Bound on the drift from the row layout while the loss falls. Worst case
+# measured over 220000 drawn runs: 5.0e-11, on a run whose one label is
+# 2.3e-5, so its residual is all cancellation.
+ROW_LAYOUT_RTOL = 1e-9
+
+
 class TestSinglePassMatchesTwoPass:
     """`train` runs one forward pass per step; its trajectory must equal the
-    two-pass reference bit for bit, early stops and aborts included."""
+    two-pass reference of its arithmetic bit for bit, early stops and aborts
+    included, and stay within a rounding bound of the row-layout one."""
 
-    @given(
-        width=st.sampled_from([1, 2, 3, 64, 129]),
-        n=st.integers(min_value=1, max_value=8),
-        d=st.integers(min_value=1, max_value=3),
-        seed=st.integers(min_value=0, max_value=2**16),
-        lr=st.none() | st.floats(min_value=1e-4, max_value=1e-2),
-        stop_after=st.none() | st.integers(min_value=0, max_value=30),
-    )
+    @given(**_RUNS, stop_after=st.none() | st.integers(min_value=0, max_value=30))
     @settings(max_examples=60, deadline=None)
     def test_trajectory_bit_identical(self, width, n, d, seed, lr, stop_after):
-        rng = np.random.default_rng(seed)
-        phi = Realization(tuple(Point(r) for r in rng.uniform(-1, 1, (n, d))))
-        g = SinusoidalTarget(u=rng.standard_normal(d), phase=0.4)
-        ts = shift_set(phi, Direction(rng.standard_normal(d)), float(rng.uniform(0.5, 10.0)), g)
-        cfg = MLPConfig(width=width, steps=30, lr=lr, seed=seed)
-        model = init_model(cfg, d)
+        model, ts, cfg = _run(width, n, d, seed, lr)
         target = None
         if stop_after is not None:
             # A loss the reference reaches, so the early stop fires.
@@ -208,7 +289,7 @@ class TestSinglePassMatchesTwoPass:
         want = _outcome(_two_pass_train, model, ts, cfg, target_loss=target)
         got = _outcome(train, model, ts, cfg, target_loss=target)
         if want[0] is ZeroDivisionError:
-            # The reference predates the guard against an all-dead init.
+            # The reference has no guard against an all-dead init.
             assert got[0] is NumericalFailure
             return
         if isinstance(want[1], str):
@@ -217,6 +298,20 @@ class TestSinglePassMatchesTwoPass:
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(got[0].hidden, want[0].hidden)
         assert np.array_equal(got[0].output, want[0].output)
+
+    @given(**_RUNS)
+    @settings(max_examples=60, deadline=None)
+    def test_trajectory_drifts_from_row_layout_within_rounding(self, width, n, d, seed, lr):
+        model, ts, cfg = _run(width, n, d, seed, lr)
+        if _row_layout_drift(model, ts, cfg) is None:
+            return
+        # Once its loss rises, a run oscillates near the edge of stability and
+        # about doubles any rounding difference every step (up to 7.8e-9 over
+        # 30 steps at width 2), so the bound holds while the loss falls.
+        _, losses = _row_layout_two_pass_train(model, ts, cfg)
+        rises = np.flatnonzero(np.diff(losses) > 0)
+        falling = replace(cfg, steps=int(rises[0]) if rises.size else cfg.steps)
+        assert _row_layout_drift(model, ts, falling) <= ROW_LAYOUT_RTOL
 
     def test_divergence_raised_at_the_same_step(self):
         ts = TestTrain._task(n=1)

@@ -408,9 +408,12 @@ class TestCli:
         ("kappa", {"diag_chunk": 0}, [], "diag_chunk"),
         ("theorem1", {}, ["--seed", "-1"], "seed"),
         ("theorem1", {}, ["--threads", "0"], "threads"),
+        ("theorem1", {"d": 1, "v_phi": [1.0], "target": {"kind": "sinusoidal", "u": [1.3], "phase": 0.4}}, [],
+         "include_orthogonal"),
     ], ids=["n-negative", "n-fractional", "box-one-bound", "radius-string", "seed-negative", "t-zero",
             "t-negative", "v-phi-wrong-length", "features-seed-string", "window-reversed", "target-wrong-length",
-            "delta-infinite", "delta-nan", "eval-points-negative", "n-list-zero", "probes-zero", "diag-chunk-zero", "cli-seed-negative", "cli-threads-zero"])
+            "delta-infinite", "delta-nan", "eval-points-negative", "n-list-zero", "probes-zero", "diag-chunk-zero", "cli-seed-negative", "cli-threads-zero",
+            "orthogonal-direction-in-one-dimension"])
     def test_value_breaking_its_rule_is_a_config_error(self, tmp_path, capsys, sub, overlay, args, key):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(overlay))
