@@ -66,10 +66,9 @@ from .regression import (
     FeatureSpacePredictor,
     PointWisePredictor,
     Predictor,
-    beta_bias_sensitivity,
     beta_closed_form,
     beta_from_alpha,
-    bias_sensitivity_limit,
+    bias_slopes,
     closed_form_context,
     predict,
 )

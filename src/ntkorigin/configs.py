@@ -110,7 +110,6 @@ _KAPPA = {
     "k_features": 200000,
     "diag_points_per_dim": 2,
     "diag_k_features": 10000000,
-    "diag_chunk": 1000000,
     "kappa_directions": 5,
     "kappa_k_features": 1000000,
     "threads": 1,
@@ -276,7 +275,7 @@ RULES = {
     **dict.fromkeys(
         ["d", "n", "threads", "k_features", "kappa_mc_features", "diag_k_features", "kappa_k_features",
          "profile_points", "stencil_max_order", "sigma_instances", "probes", "pairs_per_dim",
-         "diag_points_per_dim", "diag_chunk", "kappa_directions", "eval_points"],
+         "diag_points_per_dim", "kappa_directions", "eval_points"],
         _COUNT),
     **dict.fromkeys(["n_list", "pair_dims", "widths"],
                     ("a list of integers >= 1", lambda v, d: _is_list(v, lambda x: _is_int(x, 1)))),

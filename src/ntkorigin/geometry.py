@@ -182,7 +182,7 @@ class SinusoidalTarget(TargetFunction):
 
 @dataclass(frozen=True)
 class ShiftedTrainingSet:
-    """A realization translated by -t*v together with labels taken after the shift.
+    """A realization translated by -t*v and labeled by a target after the shift.
 
     labels[i] = g(x_i - t*v), so the stored labels always refer to the shifted
     positions. The augmented matrix caches [x_i - t*v | 1] rows for kernel code.
@@ -191,22 +191,29 @@ class ShiftedTrainingSet:
     realization: Realization
     direction: Direction
     t: float
-    labels: np.ndarray
+    target: TargetFunction
+    labels: np.ndarray = field(init=False, repr=False)
     shifted: np.ndarray = field(init=False, repr=False)
     augmented: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        labels = _as_vector(self.labels, name="labels")
-        if labels.size != self.realization.n:
-            raise DimensionError("label count does not match realization size")
-        object.__setattr__(self, "labels", _freeze(labels))
+        t = float(self.t)
+        if t < 0:
+            raise InvalidInput(f"shift magnitude must be nonnegative, got {t}")
         if self.realization.dim != self.direction.dim:
-            raise DimensionError("realization and direction dimensions differ")
-        shifted = self.realization.matrix() - self.t * self.direction.coords
-        augmented = np.hstack([shifted, np.ones((shifted.shape[0], 1))])
+            raise DimensionError(
+                f"realization dimension {self.realization.dim} != direction dimension {self.direction.dim}"
+            )
+        shifted = self.realization.matrix() - t * self.direction.coords
+        labels = np.asarray(self.target.value(shifted), dtype=np.float64)
+        if labels.shape != (self.realization.n,):
+            raise DimensionError(f"target gave labels of shape {labels.shape} for {self.realization.n} points")
+        if not np.all(np.isfinite(labels)):
+            raise InvalidInput("target function produced non-finite labels")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "labels", _freeze(labels))
         object.__setattr__(self, "shifted", _freeze(shifted))
-        object.__setattr__(self, "augmented", _freeze(augmented))
+        object.__setattr__(self, "augmented", _freeze(np.hstack([shifted, np.ones((shifted.shape[0], 1))])))
 
     @property
     def n(self) -> int:
@@ -234,12 +241,4 @@ def shift_set(phi: Realization, v: Direction, t: float, g: TargetFunction) -> Sh
 
     Order is preserved: row i of the result corresponds to phi.points[i].
     """
-    if t < 0:
-        raise InvalidInput(f"shift magnitude must be nonnegative, got {t}")
-    if phi.dim != v.dim:
-        raise DimensionError(f"realization dimension {phi.dim} != direction dimension {v.dim}")
-    shifted = phi.matrix() - float(t) * v.coords
-    labels = g.value(shifted)
-    if not np.all(np.isfinite(labels)):
-        raise InvalidInput("target function produced non-finite labels")
-    return ShiftedTrainingSet(realization=phi, direction=v, t=float(t), labels=labels)
+    return ShiftedTrainingSet(realization=phi, direction=v, t=t, target=g)

@@ -124,12 +124,20 @@ def assemble_gram(ts: ShiftedTrainingSet, mode: KernelMode) -> GramMatrix:
     return GramMatrix(entries=kernel_matrix(a, a, mode), mode=mode)
 
 
+def _check_rank_one(n: int, kappa: float, t: float, delta: float | None = None) -> None:
+    """The arguments every rank-one closed form shares: n >= 1, kappa and
+    t >= 0, and, where a delta is given, 0 < delta < inf. NaN fails each."""
+    if not n >= 1:
+        raise DimensionError(f"n must be >= 1, got {n}")
+    if not (kappa >= 0 and t >= 0):
+        raise InvalidInput(f"kappa and t must be nonnegative, got {kappa} and {t}")
+    if delta is not None and not 0 < delta < np.inf:
+        raise InvalidRegularization(f"delta must be positive and finite, got {delta}")
+
+
 def asymptotic_gram(n: int, kappa: float, t: float) -> GramMatrix:
     """The far-shift limit gram kappa * t^2 * J (all entries equal)."""
-    if n < 1:
-        raise DimensionError(f"n must be >= 1, got {n}")
-    if kappa < 0 or t < 0:
-        raise InvalidInput("kappa and t must be nonnegative")
+    _check_rank_one(n, kappa, t)
     return GramMatrix(entries=np.full((n, n), float(kappa) * float(t) ** 2))
 
 
@@ -144,12 +152,7 @@ def sherman_morrison_inverse(
     Pass dtype=np.longdouble for identity-residual studies below float64 ulp;
     that raises NumericalFailure where long double is no wider than float64.
     """
-    if delta <= 0:
-        raise InvalidRegularization(f"delta must be positive, got {delta}")
-    if n < 1:
-        raise DimensionError(f"n must be >= 1, got {n}")
-    if kappa < 0 or t < 0:
-        raise InvalidInput("kappa and t must be nonnegative")
+    _check_rank_one(n, kappa, t, delta)
     if np.dtype(dtype).type is np.longdouble:
         _require_wide_longdouble("sherman_morrison_inverse(dtype=np.longdouble)")
     one = dtype(1.0)
@@ -255,8 +258,7 @@ def asymptotic_alpha(labels: np.ndarray, n: int, kappa: float, t: float, delta: 
 
     whose terms never cancel catastrophically when kappa t^2 >> delta.
     """
-    if delta <= 0:
-        raise InvalidRegularization(f"delta must be positive, got {delta}")
+    _check_rank_one(n, kappa, t, delta)
     y = np.asarray(labels, dtype=np.float64)
     if y.ndim != 1 or y.size != n:
         raise DimensionError(f"labels shape {y.shape} does not match n={n}")

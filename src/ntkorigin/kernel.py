@@ -214,6 +214,10 @@ def kernel_matrix(xs: np.ndarray, ys: np.ndarray, mode: KernelMode) -> np.ndarra
 # in one product over the whole chunk, and gets the same bits.
 DIAGONAL_TILE = 4096
 
+# Feature rows per chunk of `diagonal`: the diag rows' 1e7 features run in ten
+# chunks, and every smaller count in one.
+DIAGONAL_CHUNK = 1_000_000
+
 
 def _tiles(n: int) -> Iterator[tuple[int, int]]:
     """(start, stop) of the tiles over n rows: DIAGONAL_TILE rows each but the
@@ -286,9 +290,9 @@ def ntk(x: AugmentedPoint | np.ndarray, y: AugmentedPoint | np.ndarray, mode: Ke
     return KernelEstimate(value=float(_arc_cosine(xs, ys)[0, 0]))
 
 
-def diagonal(x: AugmentedPoint | np.ndarray, count: int, seed: int, chunk: int | None = None) -> KernelEstimate:
+def diagonal(x: AugmentedPoint | np.ndarray, count: int, seed: int) -> KernelEstimate:
     """Monte Carlo k(x, x) over `count` features drawn from `default_rng(seed)`
-    in chunks of at most `chunk` rows (one chunk if None).
+    in chunks of at most `DIAGONAL_CHUNK` rows.
 
     Each chunk is drawn and integrated one tile of `DIAGONAL_TILE` weight rows
     at a time, in the generator's order, into one chunk-length vector, so no
@@ -300,9 +304,7 @@ def diagonal(x: AugmentedPoint | np.ndarray, count: int, seed: int, chunk: int |
     """
     if count < 1:
         raise InvalidInput(f"feature count must be >= 1, got {count}")
-    chunk = count if chunk is None else chunk
-    if chunk < 1:
-        raise InvalidInput(f"chunk must be >= 1, got {chunk}")
+    chunk = DIAGONAL_CHUNK
     row = _aug_coords(x)[None]
     x = _row_pair(row, row)[0][0]
     gen = np.random.default_rng(seed)
@@ -332,8 +334,9 @@ def kappa(v: Direction, mode: KernelMode) -> KernelEstimate:
     integrated tile by tile over the sample into one K-length vector of
     contributions, which the standard error reuses, so the estimate needs one
     K-length vector and one tile-length mask besides the sample.
-    `diagonal(-v.augmented(), K, seed)` gives the same bits without holding
-    the sample `sample_features(d, K, seed)`; pass one only to share it.
+    For K up to `DIAGONAL_CHUNK`, `diagonal(-v.augmented(), K, seed)` gives
+    the same bits without holding the sample `sample_features(d, K, seed)`;
+    pass one only to share it.
     """
     if isinstance(mode, MonteCarlo):
         weights = mode.features.weights

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryTooClose, DimensionError, InvalidInput, InvalidRegularization, MissingFeatureSample
-from .geometry import Direction, Point, Realization, ShiftedTrainingSet, TargetFunction, shift_set
-from .gram import AlphaVector
+from .errors import BoundaryTooClose, DimensionError, InvalidInput, MissingFeatureSample
+from .geometry import Point, ShiftedTrainingSet
+from .gram import AlphaVector, _check_rank_one
 from .kernel import FeatureSample, MonteCarlo, kernel_matrix
 
 
@@ -82,31 +82,28 @@ def beta_from_alpha(ts: ShiftedTrainingSet, alpha: AlphaVector) -> BetaComponent
 
 @dataclass(frozen=True, eq=False)
 class ClosedFormContext:
-    """Shared pieces of the far-shift beta closed forms for one training set."""
+    """The far-shift limit of the beta blocks for one training set.
 
-    direction: Direction
-    n: int
-    kappa: float
-    t: float
-    delta: float
-    c_factor: float
+    `normal` is -v with a 0 bias entry, the normal of the limit indicator, and
+    `v_norm` is |v|. `combined` is C g_sum S + T / delta, the vector both
+    blocks contract against, and `law` is g_sum / (n kappa t^2 + delta), the
+    off-boundary slope of beta2 in the bias coordinate of w.
+    """
+
+    normal: np.ndarray
+    v_norm: float
+    combined: np.ndarray
     g_sum: float
-    sum_aug: np.ndarray
-    sum_aug_weighted: np.ndarray
+    law: float
 
     def __post_init__(self):
-        for name in ("sum_aug", "sum_aug_weighted"):
+        for name in ("normal", "combined"):
             v = np.asarray(getattr(self, name), dtype=np.float64)
             v.setflags(write=False)
             object.__setattr__(self, name, v)
 
-    @property
-    def combined(self) -> np.ndarray:
-        """C * g_sum * S + T / delta, the vector both blocks contract against."""
-        return self.c_factor * self.g_sum * self.sum_aug + self.sum_aug_weighted / self.delta
-
     def active(self, w: np.ndarray) -> bool:
-        return bool(np.dot(np.asarray(w, dtype=np.float64), -self.direction.augmented()) >= 0.0)
+        return bool(np.dot(np.asarray(w, dtype=np.float64), self.normal) >= 0.0)
 
     def beta1_at(self, w: np.ndarray) -> np.ndarray:
         return self.combined if self.active(w) else np.zeros_like(self.combined)
@@ -118,79 +115,58 @@ class ClosedFormContext:
 
 
 def closed_form_context(ts: ShiftedTrainingSet, kappa: float, delta: float) -> ClosedFormContext:
-    if delta <= 0:
-        raise InvalidRegularization(f"delta must be positive, got {delta}")
-    if kappa <= 0 or ts.t <= 0:
-        raise InvalidRegularization("closed form requires kappa > 0 and t > 0")
-    lead = float(kappa) * ts.t**2
+    """Derive the far-shift closed forms of one training set once."""
+    _check_rank_one(ts.n, kappa, ts.t, delta)
+    kappa, delta = float(kappa), float(delta)
+    lead = kappa * ts.t**2
     c_factor = -lead / (delta * (ts.n * lead + delta))
-    assert c_factor < 0.0  # guaranteed by kappa, t, delta > 0
+    g_sum = float(ts.labels.sum())
+    sum_aug = ts.augmented.sum(axis=0)
+    sum_aug_weighted = (ts.augmented * ts.labels[:, None]).sum(axis=0)
     return ClosedFormContext(
-        direction=ts.direction,
-        n=ts.n,
-        kappa=float(kappa),
-        t=ts.t,
-        delta=float(delta),
-        c_factor=c_factor,
-        g_sum=float(ts.labels.sum()),
-        sum_aug=ts.augmented.sum(axis=0),
-        sum_aug_weighted=(ts.augmented * ts.labels[:, None]).sum(axis=0),
+        normal=-ts.direction.augmented(),
+        v_norm=ts.direction.norm,
+        combined=c_factor * g_sum * sum_aug + sum_aug_weighted / delta,
+        g_sum=g_sum,
+        law=g_sum / (ts.n * kappa * ts.t**2 + delta),
     )
 
 
-def beta_closed_form(
-    phi: Realization,
-    v: Direction,
-    t: float,
-    delta: float,
-    kappa: float,
-    g: TargetFunction,
-    fs: FeatureSample,
-) -> BetaComponents:
+def beta_closed_form(ctx: ClosedFormContext, fs: FeatureSample) -> BetaComponents:
     """Far-shift closed-form blocks for every feature in the sample.
 
     Blocks of features with inactive limit indicator are exactly zero.
     """
-    ts = shift_set(phi, v, t, g)
-    ctx = closed_form_context(ts, kappa=kappa, delta=delta)
-    act = ((fs.weights @ (-v.augmented())) >= 0.0).astype(np.float64)
-    combined = ctx.combined
-    beta1 = act[:, None] * combined[None, :]
-    beta2 = act * (fs.weights @ combined)
+    act = ((fs.weights @ ctx.normal) >= 0.0).astype(np.float64)
+    beta1 = act[:, None] * ctx.combined[None, :]
+    beta2 = act * (fs.weights @ ctx.combined)
     return BetaComponents(beta1=beta1, beta2=beta2, features=fs)
 
 
-def bias_sensitivity_limit(ctx: ClosedFormContext) -> float:
-    """Predicted off-boundary slope of beta2 in the bias coordinate of w."""
-    return ctx.g_sum / (ctx.n * ctx.kappa * ctx.t**2 + ctx.delta)
-
-
-def beta_bias_sensitivity(
-    ctx: ClosedFormContext,
-    w: np.ndarray,
-    v: Direction,
-    step: float | None = None,
-) -> float:
-    """Central finite difference of the closed-form beta2 in w's bias coordinate.
+def bias_slopes(ctx: ClosedFormContext, w: np.ndarray) -> tuple[float, float]:
+    """Central finite differences of the closed-form blocks in w's bias
+    coordinate, from one step h = 1e-4 (1 + |w_bias|): beta2's slope, and
+    the largest absolute slope of beta1's entries.
 
     The probe refuses weights within 10 steps of the indicator boundary: the
     closed form is affine in the bias coordinate off the boundary but only
     distributionally differentiable on it.
     """
     w = np.asarray(w, dtype=np.float64)
-    vhat = v.augmented()
-    if w.shape != vhat.shape:
-        raise DimensionError(f"weight shape {w.shape} != direction shape {vhat.shape}")
-    h = 1e-4 * (1.0 + abs(w[-1])) if step is None else float(step)
-    if abs(np.dot(w, -vhat)) < 10.0 * h * v.norm:
+    if w.shape != ctx.normal.shape:
+        raise DimensionError(f"weight shape {w.shape} != direction shape {ctx.normal.shape}")
+    h = 1e-4 * (1.0 + abs(w[-1]))
+    if abs(np.dot(w, ctx.normal)) < 10.0 * h * ctx.v_norm:
         raise BoundaryTooClose(
-            f"<w, -v_hat> = {np.dot(w, -vhat):.3e} within 10*step of the indicator boundary"
+            f"<w, -v_hat> = {np.dot(w, ctx.normal):.3e} within 10*step of the indicator boundary"
         )
     up = w.copy()
     up[-1] += h
     down = w.copy()
     down[-1] -= h
-    return (ctx.beta2_at(up) - ctx.beta2_at(down)) / (2.0 * h)
+    beta2 = (ctx.beta2_at(up) - ctx.beta2_at(down)) / (2.0 * h)
+    beta1 = float(np.abs(ctx.beta1_at(up) - ctx.beta1_at(down)).max()) / (2.0 * h)
+    return beta2, beta1
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,9 @@ import pytest
 from ntkorigin import gram
 from ntkorigin import (
     ANALYTIC,
+    DimensionError,
     Direction,
+    InvalidInput,
     InvalidRegularization,
     MonteCarlo,
     NumericalFailure,
@@ -122,6 +124,12 @@ class TestShermanMorrison:
     def test_nonpositive_delta_rejected(self):
         with pytest.raises(InvalidRegularization):
             sherman_morrison_inverse(2, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("delta", [np.inf, np.nan])
+    def test_non_finite_delta_rejected(self, delta):
+        # Without the guard an infinite delta gives a NaN matrix.
+        with pytest.raises(InvalidRegularization, match="positive and finite"):
+            sherman_morrison_inverse(2, 1.0, 10.0, delta)
 
 
 class TestTikhonovSolve:
@@ -242,6 +250,16 @@ class TestAsymptoticAlpha:
     def test_nonpositive_delta_rejected(self):
         with pytest.raises(InvalidRegularization):
             asymptotic_alpha(np.ones(2), 2, 1.0, 1.0, -1.0)
+
+    @pytest.mark.parametrize("kappa, t", [(-1.0, 10.0), (1.0, -10.0), (np.nan, 10.0)])
+    def test_negative_kappa_or_t_rejected(self, kappa, t):
+        # Without the guard kappa = -1 gives [-0.5075, 0.4925].
+        with pytest.raises(InvalidInput, match="nonnegative"):
+            asymptotic_alpha(np.array([1.0, 2.0]), 2, kappa, t, 1.0)
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(DimensionError, match="n must be >= 1"):
+            asymptotic_alpha(np.ones(0), 0, 1.0, 10.0, 1.0)
 
 
 class TestGramLimit:

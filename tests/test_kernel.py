@@ -4,6 +4,8 @@ The analytic arc-cosine expression is validated here against the Monte Carlo
 estimator before anything downstream gets to rely on it.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from conftest import SLACK, tile_bytes, traced_peak
@@ -442,7 +444,8 @@ class TestStreamedDiagonal:
     def test_one_chunk_equals_ntk_bit_for_bit(self, seed, d, k, spare):
         x = augment(np.random.default_rng(seed).uniform(-2.0, 2.0, d))
         want = ntk(x, x, MonteCarlo(sample_features(d, k, seed))).value
-        assert diagonal(x, k, seed, k + spare).value == want
+        with mock.patch.object(kernel, "DIAGONAL_CHUNK", k + spare):
+            assert diagonal(x, k, seed).value == want
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -458,15 +461,12 @@ class TestStreamedDiagonal:
     def test_chunks_equal_reference_loop_bit_for_bit(self, seed, d, sizes):
         k, chunk = sizes
         x = augment(np.random.default_rng(seed).uniform(-2.0, 2.0, d))
-        assert diagonal(x, k, seed, chunk).value == _reference_diagonal(x.coords, k, chunk, seed)
+        with mock.patch.object(kernel, "DIAGONAL_CHUNK", chunk):
+            assert diagonal(x, k, seed).value == _reference_diagonal(x.coords, k, chunk, seed)
 
-    def test_rejects_empty_count_or_chunk(self):
-        x = augment([0.5])
-        for count, chunk in ((0, 10), (10, 0)):
-            with pytest.raises(InvalidInput):
-                diagonal(x, count, seed=1, chunk=chunk)
+    def test_rejects_empty_count(self):
         with pytest.raises(InvalidInput, match="feature count must be >= 1, got 0"):
-            diagonal(x, 0, seed=1)
+            diagonal(augment([0.5]), 0, seed=1)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), k=several_tiles)
@@ -479,11 +479,12 @@ class TestStreamedDiagonal:
         assert _same_bits(got.value, want.value) and _same_bits(got.std_error, want.std_error)
 
     @pytest.mark.parametrize("k, chunk", [(2, 1), (2500, 1000), (3 * TILE + 5, TILE)])
-    def test_chunked_standard_error_matches_one_chunk(self, k, chunk):
+    def test_chunked_standard_error_matches_one_chunk(self, monkeypatch, k, chunk):
         # Same draws either way; only the order of the sums differs.
         x = augment([0.7, -1.2])
         whole = diagonal(x, k, seed=8)
-        chunked = diagonal(x, k, seed=8, chunk=chunk)
+        monkeypatch.setattr(kernel, "DIAGONAL_CHUNK", chunk)
+        chunked = diagonal(x, k, seed=8)
         assert chunked.value == pytest.approx(whole.value, rel=1e-12)
         assert chunked.std_error == pytest.approx(whole.std_error, rel=1e-9)
 
@@ -597,12 +598,13 @@ class TestTiledEstimates:
 
 
 class TestDiagonalMemory:
-    def test_diagonal_holds_one_chunk_vector_and_one_tile(self):
+    def test_diagonal_holds_one_chunk_vector_and_one_tile(self, monkeypatch):
         # Two and a bit chunks: the chunk-length vector and the tile of d+1
         # weight columns with its mask are reused.
         d, chunk = 5, 200_000
+        monkeypatch.setattr(kernel, "DIAGONAL_CHUNK", chunk)
         x = augment(np.random.default_rng(3).uniform(-2.0, 2.0, d))
-        peak, _ = traced_peak(lambda: diagonal(x, 2 * chunk + 1, seed=3, chunk=chunk))
+        peak, _ = traced_peak(lambda: diagonal(x, 2 * chunk + 1, seed=3))
         assert peak <= 8 * chunk + tile_bytes(d + 2) + SLACK
 
     def test_kappa_holds_one_sample_length_vector_and_a_mask(self):

@@ -12,6 +12,7 @@ from ntkorigin import (
     DimensionError,
     Direction,
     FeatureSample,
+    InvalidRegularization,
     FeatureSpacePredictor,
     LinearTarget,
     MissingFeatureSample,
@@ -22,10 +23,9 @@ from ntkorigin import (
     SinusoidalTarget,
     TikhonovConfig,
     assemble_gram,
-    beta_bias_sensitivity,
     beta_closed_form,
     beta_from_alpha,
-    bias_sensitivity_limit,
+    bias_slopes,
     closed_form_context,
     kernel_matrix,
     predict,
@@ -86,9 +86,9 @@ class TestBetaFromAlpha:
 
 class TestBetaClosedForm:
     def test_inactive_limit_indicator_zeroes_block(self):
-        _, phi, v, g = _training_set()
+        ts, _, v, _ = _training_set()
         fs = sample_features(2, 64, seed=9)
-        beta = beta_closed_form(phi, v, t=100.0, delta=0.5, kappa=1.0, g=g, fs=fs)
+        beta = beta_closed_form(closed_form_context(ts, kappa=1.0, delta=0.5), fs)
         inactive = (fs.weights @ -np.append(v.coords, 0.0)) < 0
         assert np.array_equal(beta.beta1[inactive], np.zeros((inactive.sum(), 3)))
         assert np.array_equal(beta.beta2[inactive], np.zeros(inactive.sum()))
@@ -96,7 +96,8 @@ class TestBetaClosedForm:
     def test_zero_target_zero_blocks(self):
         _, phi, v, _ = _training_set()
         fs = sample_features(2, 16, seed=9)
-        beta = beta_closed_form(phi, v, 100.0, 0.5, 1.0, LinearTarget(a=[0.0, 0.0], b=0.0), fs)
+        ts = shift_set(phi, v, 100.0, LinearTarget(a=[0.0, 0.0], b=0.0))
+        beta = beta_closed_form(closed_form_context(ts, kappa=1.0, delta=0.5), fs)
         assert np.array_equal(beta.beta1, np.zeros_like(beta.beta1))
         assert np.array_equal(beta.beta2, np.zeros_like(beta.beta2))
 
@@ -114,7 +115,7 @@ class TestBetaClosedForm:
             km = assemble_gram(ts, MonteCarlo(fs))
             alpha = tikhonov_solve(km, TikhonovConfig(delta=delta), ts.labels)
             sampled = beta_from_alpha(ts, alpha)
-            closed = beta_closed_form(phi, v, t, delta, kappa, g, fs)
+            closed = beta_closed_form(closed_form_context(ts, kappa=kappa, delta=delta), fs)
             active = np.abs(closed.beta2) > 0
             d1 = np.abs(closed.beta1[active] - sampled.beta1[active]).max() / np.abs(closed.beta1[active]).max()
             d2 = np.abs(closed.beta2[active] - sampled.beta2[active]).max() / np.abs(closed.beta2[active]).max()
@@ -221,70 +222,125 @@ class TestBiasSensitivity:
     def _context(t=10.0, delta=0.01, n=2):
         # g_sum = 3 via a constant target of 1.5 per point.
         phi = Realization((Point([0.3, -0.4]), Point([0.1, 0.2]))[:n])
-        v = Direction([0.6, -0.8])
-        ts = shift_set(phi, v, t, LinearTarget(a=[0.0, 0.0], b=1.5))
-        return closed_form_context(ts, kappa=1.0, delta=delta), v
+        ts = shift_set(phi, Direction([0.6, -0.8]), t, LinearTarget(a=[0.0, 0.0], b=1.5))
+        return closed_form_context(ts, kappa=1.0, delta=delta)
 
     def test_frozen_two_point_value(self):
-        ctx, v = self._context()
+        ctx = self._context()
         w = np.array([-0.6, 0.8, 0.3])  # <w, -v_hat> = 1 > 0, active
-        got = beta_bias_sensitivity(ctx, w, v)
+        got = bias_slopes(ctx, w)[0]
         assert got == pytest.approx(3.0 / 200.01, rel=1e-9)
-        assert bias_sensitivity_limit(ctx) == pytest.approx(0.0149992500374981, rel=1e-12)
+        assert ctx.law == pytest.approx(0.0149992500374981, rel=1e-12)
 
     def test_inactive_weight_zero(self):
-        ctx, v = self._context()
+        ctx = self._context()
         w = np.array([0.6, -0.8, 0.3])  # <w, -v_hat> = -1 < 0
-        assert beta_bias_sensitivity(ctx, w, v) == 0.0
+        assert bias_slopes(ctx, w) == (0.0, 0.0)
 
     def test_t_squared_scaling(self):
-        ctx_small, v = self._context(t=10.0)
-        ctx_big, _ = self._context(t=100.0)
+        ctx_small = self._context(t=10.0)
+        ctx_big = self._context(t=100.0)
         w = np.array([-0.6, 0.8, 0.3])
-        ratio = beta_bias_sensitivity(ctx_small, w, v) / beta_bias_sensitivity(ctx_big, w, v)
+        ratio = bias_slopes(ctx_small, w)[0] / bias_slopes(ctx_big, w)[0]
         assert ratio == pytest.approx((200.0 * 100.0 + 0.01) / (200.0 + 0.01), rel=1e-9)
         assert ratio == pytest.approx(100.0, rel=5e-2)
 
     def test_boundary_guard(self):
-        ctx, v = self._context()
+        ctx = self._context()
         w = np.array([-0.6e-9, 0.8e-9, 0.3])  # <w, -v_hat> = 1e-9, inside the guard
         with pytest.raises(BoundaryTooClose):
-            beta_bias_sensitivity(ctx, w, v)
+            bias_slopes(ctx, w)
 
     def test_beta1_insensitive_to_bias_coordinate(self):
-        ctx, v = self._context(t=100.0, delta=1e-4)
+        ctx = self._context(t=100.0, delta=1e-4)
         rng = np.random.default_rng(31)
         checked = 0
         while checked < 20:
             w = rng.standard_normal(3)
-            if abs(np.dot(w, -np.append(v.coords, 0.0))) < 1e-2:
+            if abs(np.dot(w, ctx.normal)) < 1e-2:
                 continue
             checked += 1
-            h = 1e-4 * (1.0 + abs(w[-1]))
-            up, dn = w.copy(), w.copy()
-            up[-1] += h
-            dn[-1] -= h
-            diff = np.abs(ctx.beta1_at(up) - ctx.beta1_at(dn)).max() / (2 * h)
-            assert diff <= 1e-10
+            assert bias_slopes(ctx, w)[1] <= 1e-10
 
     def test_sensitivity_matches_law_for_random_weights(self):
         ts, phi, v, g = _training_set(t=1000.0)
         ctx = closed_form_context(ts, kappa=v.norm**2, delta=1e-6 * v.norm**2 * 1000.0**2)
-        law = bias_sensitivity_limit(ctx)
         rng = np.random.default_rng(5)
         checked = 0
         while checked < 20:
             w = rng.standard_normal(3)
             try:
-                fd = beta_bias_sensitivity(ctx, w, v)
+                fd = bias_slopes(ctx, w)[0]
             except BoundaryTooClose:
                 continue
             checked += 1
-            expected = law if ctx.active(w) else 0.0
+            expected = ctx.law if ctx.active(w) else 0.0
             if expected:
                 assert fd == pytest.approx(expected, rel=1e-6)
             else:
                 assert fd == 0.0
+
+    @pytest.mark.parametrize("delta", [0.0, np.inf, np.nan])
+    def test_delta_outside_zero_to_infinity_rejected(self, delta):
+        ts, *_ = _training_set()
+        with pytest.raises(InvalidRegularization, match="positive and finite"):
+            closed_form_context(ts, kappa=1.0, delta=delta)
+
+
+def _reference_slopes(ts, kappa, delta, w):
+    """The two bias slopes written out step by step: the closed-form vector
+    from C, g_sum, S and T, the beta2 central difference, and a separate
+    beta1 probe with its own copy of the step rule. None where w lies within
+    10 steps of the indicator boundary."""
+    lead = float(kappa) * ts.t**2
+    c_factor = -lead / (delta * (ts.n * lead + delta))
+    g_sum = float(ts.labels.sum())
+    sum_aug = ts.augmented.sum(axis=0)
+    sum_aug_weighted = (ts.augmented * ts.labels[:, None]).sum(axis=0)
+    combined = c_factor * g_sum * sum_aug + sum_aug_weighted / float(delta)
+    vhat = ts.direction.augmented()
+    active = lambda u: np.dot(u, -vhat) >= 0.0  # noqa: E731
+    beta1 = lambda u: combined if active(u) else np.zeros_like(combined)  # noqa: E731
+    beta2 = lambda u: float(np.dot(u, combined)) if active(u) else 0.0  # noqa: E731
+    h = 1e-4 * (1.0 + abs(w[-1]))
+    if abs(np.dot(w, -vhat)) < 10.0 * h * ts.direction.norm:
+        return None
+    up, dn = w.copy(), w.copy()
+    up[-1] += h
+    dn[-1] -= h
+    b2 = (beta2(up) - beta2(dn)) / (2.0 * h)
+    h = 1e-4 * (1.0 + abs(w[-1]))
+    up, dn = w.copy(), w.copy()
+    up[-1] += h
+    dn[-1] -= h
+    b1 = float(np.abs(beta1(up) - beta1(dn)).max()) / (2 * h)
+    return b2, b1
+
+
+class TestBiasSlopesBits:
+    """`bias_slopes` keeps the bits of the step-by-step reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        along=st.floats(-2.0, 2.0),
+        across=st.floats(-3.0, 3.0),
+        bias=st.floats(-5.0, 5.0),
+        t=st.floats(1.0, 1e5),
+        rel_delta=st.floats(1e-10, 1e2),
+    )
+    def test_equals_reference_bit_for_bit(self, along, across, bias, t, rel_delta):
+        ts, _, v, _ = _training_set(t=t)
+        kappa = v.norm**2
+        delta = rel_delta * kappa * t**2
+        # Small `along` values put w on or near the indicator boundary.
+        w = np.append(along * -v.coords + across * np.array([0.8, 0.6]), bias)
+        want = _reference_slopes(ts, kappa, delta, w)
+        ctx = closed_form_context(ts, kappa=kappa, delta=delta)
+        if want is None:
+            with pytest.raises(BoundaryTooClose):
+                bias_slopes(ctx, w)
+        else:
+            assert bias_slopes(ctx, w) == want
 
 
 class TestCheckNotationEquivalence:

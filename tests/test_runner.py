@@ -1,6 +1,7 @@
 """Sweep orchestration: configs, determinism, cell isolation, CLI contract."""
 
 import importlib.util
+import inspect
 import json
 import re
 import sys
@@ -18,6 +19,7 @@ from ntkorigin import (
     SinusoidalTarget,
     agnosticism_rate,
     calculus,
+    kernel,
     runner,
     sample_features,
     shift_set,
@@ -37,8 +39,9 @@ from ntkorigin.runner import (
 )
 
 
-# Small configs with at least two cells each; the kappa diagonal spans three
-# chunks, the last one partial.
+# Small configs with at least two cells each; with `kernel.DIAGONAL_CHUNK` at
+# 1000, as the threads test sets it, the kappa diagonal spans three chunks, the
+# last one partial.
 SMALL = {
     "theorem1": {"t_list": [100.0, 1000.0], "n_directions": 2, "include_shift_direction": False,
                  "include_orthogonal": False, "profile_points": 11},
@@ -46,7 +49,7 @@ SMALL = {
     "gram-limit": {"k_features": 2000, "kappa_mc_features": 1000},
     "inverse-check": {"n_list": [1, 2], "kappa_list": [0.0, 1.0], "t_list": [10.0, 100.0], "sigma_instances": 5},
     "kappa": {"pair_dims": [1, 2], "pairs_per_dim": 2, "k_features": 1000, "diag_points_per_dim": 1,
-              "diag_k_features": 2500, "diag_chunk": 1000, "kappa_directions": 2, "kappa_k_features": 1000},
+              "diag_k_features": 2500, "kappa_directions": 2, "kappa_k_features": 1000},
     "mlp-compare": {"widths": [16, 64], "max_steps": 200, "eval_points": 2},
 }
 
@@ -106,6 +109,22 @@ class TestConfigs:
                 path.write_text(json.dumps(overlay))
                 assert bench_run.guard_config(sub, overlay, path) == []
 
+    def test_benchmark_traced_functions_still_exist(self):
+        # A per-layer metric `<layer>.<function>.<what>` reads the span of a
+        # public function of `ntkorigin.<layer>`; `cli.load_config` is the
+        # benchmark's name for `runner.load_config`.
+        layers = ("geometry", "kernel", "gram", "regression", "calculus", "mlp", "runner", "cli")
+        spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+        traced = {tuple(m["name"].split(".")[:2]) for m in spec["per_layer"]
+                  if m["name"].count(".") >= 2 and m["name"].split(".")[0] in layers}
+        assert ("kernel", "ntk") in traced and ("cli", "load_config") in traced
+        for layer, name in sorted(traced):
+            layer = "runner" if (layer, name) == ("cli", "load_config") else layer
+            module = importlib.import_module(f"ntkorigin.{layer}")
+            fn = getattr(module, name, None)
+            assert inspect.isfunction(fn) and fn.__module__ == module.__name__ and not name.startswith("_"), \
+                f"{layer}.{name}"
+
     def test_default_is_a_copy(self):
         a = default_config("theorem1")
         a["seed"] = 999
@@ -134,10 +153,12 @@ class TestConfigs:
         ("farfield", {"mode": "mc"}, "mode"),
         ("inverse-check", {"bias_sensitivity": {"d": 2}}, "bias_sensitivity.d"),
         ("inverse-check", {"bias_sensitivity": {"n": 2}}, "bias_sensitivity.n"),
-    ], ids=["farfield-mode", "bias-sensitivity-d", "bias-sensitivity-n"])
+        ("kappa", {"diag_chunk": 1000}, "diag_chunk"),
+    ], ids=["farfield-mode", "bias-sensitivity-d", "bias-sensitivity-n", "kappa-diag-chunk"])
     def test_keys_that_changed_nothing_are_unknown(self, tmp_path, sub, overlay, key):
-        # farfield is analytic only and the sensitivity block takes d and n
-        # from its points, so none of these keys is read.
+        # farfield is analytic only, the sensitivity block takes d and n from
+        # its points and the diagonal's chunk is `kernel.DIAGONAL_CHUNK`, so
+        # none of these keys is read.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(overlay))
         with pytest.raises(ConfigError, match=f"'{key}'"):
@@ -243,7 +264,8 @@ class TestDeterminism:
         assert a.csv() == b.csv()
 
     @pytest.mark.parametrize("sub", list(SMALL))
-    def test_threads_do_not_change_output(self, sub):
+    def test_threads_do_not_change_output(self, monkeypatch, sub):
+        monkeypatch.setattr(kernel, "DIAGONAL_CHUNK", 1000)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
         try:
@@ -382,7 +404,7 @@ class TestCli:
     def test_empty_diagonal_chunk_fails_the_diag_rows(self):
         # A library caller skips the config rules and keeps cell isolation.
         cfg = default_config("kappa")
-        cfg.update({"diag_chunk": 0, "k_features": 1000, "kappa_k_features": 1000})
+        cfg.update({"diag_k_features": 0, "k_features": 1000, "kappa_k_features": 1000})
         res = RUNNERS["kappa"](cfg)
         check, status = res.header.index("check"), res.header.index("status")
         failed = [(row[check], row[status]) for row in res.rows if row[status].startswith("error:")]
@@ -405,14 +427,13 @@ class TestCli:
         ("mlp-compare", {"eval_points": -1}, [], "eval_points"),
         ("inverse-check", {"n_list": [0]}, [], "n_list"),
         ("inverse-check", {"bias_sensitivity": {"probes": 0}}, [], "bias_sensitivity.probes"),
-        ("kappa", {"diag_chunk": 0}, [], "diag_chunk"),
         ("theorem1", {}, ["--seed", "-1"], "seed"),
         ("theorem1", {}, ["--threads", "0"], "threads"),
         ("theorem1", {"d": 1, "v_phi": [1.0], "target": {"kind": "sinusoidal", "u": [1.3], "phase": 0.4}}, [],
          "include_orthogonal"),
     ], ids=["n-negative", "n-fractional", "box-one-bound", "radius-string", "seed-negative", "t-zero",
             "t-negative", "v-phi-wrong-length", "features-seed-string", "window-reversed", "target-wrong-length",
-            "delta-infinite", "delta-nan", "eval-points-negative", "n-list-zero", "probes-zero", "diag-chunk-zero", "cli-seed-negative", "cli-threads-zero",
+            "delta-infinite", "delta-nan", "eval-points-negative", "n-list-zero", "probes-zero", "cli-seed-negative", "cli-threads-zero",
             "orthogonal-direction-in-one-dimension"])
     def test_value_breaking_its_rule_is_a_config_error(self, tmp_path, capsys, sub, overlay, args, key):
         path = tmp_path / "cfg.json"
