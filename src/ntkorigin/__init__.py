@@ -32,7 +32,6 @@ from .geometry import (
     SinusoidalTarget,
     TargetFunction,
     augment,
-    augment_direction,
     shift_set,
 )
 from .kernel import (
@@ -55,22 +54,23 @@ from .gram import (
     GramMatrix,
     TikhonovConfig,
     assemble_gram,
-    asymptotic_alpha,
-    asymptotic_gram,
-    sherman_morrison_inverse,
     tikhonov_solve,
 )
 from .regression import (
     BetaComponents,
-    ClosedFormContext,
     FeatureSpacePredictor,
     PointWisePredictor,
     Predictor,
-    beta_closed_form,
     beta_from_alpha,
+    predict,
+)
+from .limits import (
+    ClosedFormContext,
+    asymptotic_alpha,
+    asymptotic_gram,
     bias_slopes,
     closed_form_context,
-    predict,
+    sherman_morrison_inverse,
 )
 from .calculus import (
     DegreeClass,

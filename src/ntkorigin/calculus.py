@@ -108,7 +108,6 @@ class DerivativeEstimate:
     order: int
     step: float
     value: float
-    points_used: int
 
 
 def default_step(z: int, x0: Point) -> float:
@@ -139,7 +138,7 @@ def directional_derivative(
         if not np.isfinite(val):
             raise EvaluationError(f"f returned {val!r} at stencil point {i}")
         acc += weights[i] * val
-    return DerivativeEstimate(order=z, step=step, value=acc / step**z, points_used=z + 1)
+    return DerivativeEstimate(order=z, step=step, value=acc / step**z)
 
 
 @dataclass(frozen=True, eq=False)

@@ -281,8 +281,11 @@ RULES = {
                     ("a list of integers >= 1", lambda v, d: _is_list(v, lambda x: _is_int(x, 1)))),
     "degmax": ("an integer >= 2", lambda v, d: _is_int(v, 2)),
     **dict.fromkeys(["n_directions", "equivalence_points", "max_steps"], _NATURAL),
-    "t_list": ("a list of finite numbers > 0",
-               lambda v, d: _is_list(v, lambda x: _is_real(x, 0.0, strict=True)), _floats),
+    # The cells square t (inverse-check's relative deltas, gram-limit's error),
+    # so a t whose square overflows would fail them one by one.
+    "t_list": ("a list of numbers > 0 whose squares are finite",
+               lambda v, d: _is_list(v, lambda x: _is_real(x, 0.0, strict=True) and _is_real(float(x) * float(x))),
+               _floats),
     "radius": _POSITIVE,
     "eval_box": _POSITIVE,
     "t": _NONNEGATIVE,

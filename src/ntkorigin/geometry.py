@@ -31,7 +31,7 @@ def _as_vector(coords, *, name: str) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Point:
     """A point of the d-dimensional input space."""
 
@@ -45,7 +45,7 @@ class Point:
         return self.coords.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugmentedPoint:
     """A point with its bias coordinate appended; the last entry is exactly 1."""
 
@@ -65,7 +65,7 @@ class AugmentedPoint:
         return self.coords.size - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Direction:
     """A nonzero direction of the input space. Augments with a 0 bias entry."""
 
@@ -87,10 +87,10 @@ class Direction:
 
     def augmented(self) -> np.ndarray:
         """The direction with a 0 appended in the bias slot."""
-        return augment_direction(self)
+        return np.append(self.coords, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Realization:
     """An ordered finite set of training inputs, all of one dimension."""
 
@@ -130,7 +130,7 @@ class TargetFunction:
         return float(self.value(x[None, :])[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearTarget(TargetFunction):
     """g(x) = <a, x> + b. With a = 0 this is the constant target b."""
 
@@ -145,7 +145,7 @@ class LinearTarget(TargetFunction):
         return x @ self.a + self.b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticTarget(TargetFunction):
     """g(x) = x^T Q x + <a, x> + b."""
 
@@ -165,7 +165,7 @@ class QuadraticTarget(TargetFunction):
         return np.einsum("ni,ij,nj->n", x, self.q, x) + x @ self.a + self.b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SinusoidalTarget(TargetFunction):
     """g(x) = sin(<u, x> + phase), bounded regardless of how far x drifts."""
 
@@ -180,7 +180,7 @@ class SinusoidalTarget(TargetFunction):
         return np.sin(x @ self.u + self.phase)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShiftedTrainingSet:
     """A realization translated by -t*v and labeled by a target after the shift.
 
@@ -228,12 +228,6 @@ def augment(p: Point | Sequence[float]) -> AugmentedPoint:
     """Append the bias coordinate 1 to a point."""
     pt = p if isinstance(p, Point) else Point(p)
     return AugmentedPoint(np.append(pt.coords, 1.0))
-
-
-def augment_direction(v: Direction | Sequence[float]) -> np.ndarray:
-    """Append a 0 bias coordinate to a direction; rejects the zero vector."""
-    dv = v if isinstance(v, Direction) else Direction(v)
-    return np.append(dv.coords, 0.0)
 
 
 def shift_set(phi: Realization, v: Direction, t: float, g: TargetFunction) -> ShiftedTrainingSet:

@@ -1,12 +1,7 @@
-"""Gram assembly, Tikhonov solves, and the rank-one asymptotic closed forms.
+"""Gram assembly and Tikhonov solves.
 
-The training gram of a far-shifted set approaches kappa * t^2 * J, a rank-one
-matrix. Regularized with delta*I it inverts in closed form,
-
-    (delta I + kappa t^2 J)^{-1} = (1/delta) I - t^2 kappa / (delta (n kappa t^2 + delta)) J,
-
-and the product of labels with that inverse has an explicit per-entry formula.
-Production solves never form an inverse; they factor K + delta*I and refine.
+Solves never form an inverse; they factor K + delta*I and refine. The
+far-shift closed forms of the gram, its inverse and its alpha live in `limits`.
 """
 
 from __future__ import annotations
@@ -124,48 +119,6 @@ def assemble_gram(ts: ShiftedTrainingSet, mode: KernelMode) -> GramMatrix:
     return GramMatrix(entries=kernel_matrix(a, a, mode), mode=mode)
 
 
-def _check_rank_one(n: int, kappa: float, t: float, delta: float | None = None) -> None:
-    """The arguments every rank-one closed form shares: n >= 1, kappa and
-    t >= 0, and, where a delta is given, 0 < delta < inf. NaN fails each."""
-    if not n >= 1:
-        raise DimensionError(f"n must be >= 1, got {n}")
-    if not (kappa >= 0 and t >= 0):
-        raise InvalidInput(f"kappa and t must be nonnegative, got {kappa} and {t}")
-    if delta is not None and not 0 < delta < np.inf:
-        raise InvalidRegularization(f"delta must be positive and finite, got {delta}")
-
-
-def asymptotic_gram(n: int, kappa: float, t: float) -> GramMatrix:
-    """The far-shift limit gram kappa * t^2 * J (all entries equal)."""
-    _check_rank_one(n, kappa, t)
-    return GramMatrix(entries=np.full((n, n), float(kappa) * float(t) ** 2))
-
-
-def sherman_morrison_inverse(
-    n: int, kappa: float, t: float, delta: float, dtype=np.float64
-) -> np.ndarray:
-    """Closed-form inverse of delta*I + kappa*t^2*J.
-
-    The diagonal is evaluated as ((n-1) kappa t^2 + delta) / (delta (n kappa t^2 + delta)),
-    which is the same quantity as 1/delta + off-diagonal but avoids the
-    catastrophic cancellation of the naive difference when kappa t^2 >> delta.
-    Pass dtype=np.longdouble for identity-residual studies below float64 ulp;
-    that raises NumericalFailure where long double is no wider than float64.
-    """
-    _check_rank_one(n, kappa, t, delta)
-    if np.dtype(dtype).type is np.longdouble:
-        _require_wide_longdouble("sherman_morrison_inverse(dtype=np.longdouble)")
-    one = dtype(1.0)
-    kp, tt, dl, nn = dtype(kappa), dtype(t), dtype(delta), dtype(n)
-    lead = kp * tt * tt
-    denom = dl * (nn * lead + dl)
-    off = -lead / denom
-    diag = ((nn - one) * lead + dl) / denom
-    out = np.full((n, n), off, dtype=dtype)
-    out[np.diag_indices(n)] = diag
-    return out
-
-
 def _cholesky_solve_longdouble(g: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unblocked Cholesky solve in extended precision (desk-scale n only).
 
@@ -246,23 +199,3 @@ def tikhonov_solve(
         )
     return AlphaVector(values=alpha, delta=delta, residual=resid, mode=gram.mode)
 
-
-def asymptotic_alpha(labels: np.ndarray, n: int, kappa: float, t: float, delta: float) -> AlphaVector:
-    """Closed-form coefficients on the asymptotic gram:
-
-        alpha_i = -(t^2 kappa) / (delta (n kappa t^2 + delta)) * sum_j Y_j + Y_i / delta.
-
-    Evaluated in the algebraically identical arrangement
-
-        alpha_i = (t^2 kappa (n Y_i - sum_j Y_j) + delta Y_i) / (delta (n kappa t^2 + delta)),
-
-    whose terms never cancel catastrophically when kappa t^2 >> delta.
-    """
-    _check_rank_one(n, kappa, t, delta)
-    y = np.asarray(labels, dtype=np.float64)
-    if y.ndim != 1 or y.size != n:
-        raise DimensionError(f"labels shape {y.shape} does not match n={n}")
-    lead = float(kappa) * float(t) ** 2
-    total = y.sum()
-    vals = (lead * (n * y - total) + delta * y) / (delta * (n * lead + delta))
-    return AlphaVector(values=vals, delta=float(delta))

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import calculus, gram, kernel, mlp, regression
+from . import calculus, gram, kernel, limits, mlp, regression
 from .configs import delta_from_config, overlay_config, target_from_config
 from .errors import BoundaryTooClose, ConfigError
 from .geometry import Direction, Point, Realization, TargetFunction, augment, shift_set
@@ -278,7 +278,7 @@ def run_inverse_check(cfg: dict) -> RunResult:
         return fn({**key, "delta": delta}, n, kap, t, delta, labels)
 
     def identity_cell(key, n, kap, t, delta, labels) -> list[dict]:
-        inv = gram.sherman_morrison_inverse(n, kap, t, delta, dtype=np.longdouble)
+        inv = limits.sherman_morrison_inverse(n, kap, t, delta)
         direct = np.longdouble(kap) * np.longdouble(t) ** 2 * np.ones(
             (n, n), dtype=np.longdouble
         ) + np.longdouble(delta) * np.eye(n, dtype=np.longdouble)
@@ -286,9 +286,9 @@ def run_inverse_check(cfg: dict) -> RunResult:
         return [{**key, "status": "ok", "residual": resid}]
 
     def alpha_cell(key, n, kap, t, delta, labels) -> list[dict]:
-        closed = gram.asymptotic_alpha(labels, n, kap, t, delta)
+        closed = limits.asymptotic_alpha(labels, n, kap, t, delta)
         solved = gram.tikhonov_solve(
-            gram.asymptotic_gram(n, kap, t),
+            limits.asymptotic_gram(n, kap, t),
             gram.TikhonovConfig(delta=delta, mode="absolute"),
             labels,
             extended=True,
@@ -356,7 +356,7 @@ def run_inverse_check(cfg: dict) -> RunResult:
 
     def sensitivity_cell(key: dict, t: float) -> list[dict]:
         delta = resolve(lem_delta, kap, t)
-        ctx = regression.closed_form_context(shift_set(lem_phi, lem_v, t, lem_g), kappa=kap, delta=delta)
+        ctx = limits.closed_form_context(shift_set(lem_phi, lem_v, t, lem_g), kappa=kap, delta=delta)
         wrng = np.random.default_rng(cfg["seed"] + 20)
         worst = worst_b1 = 0.0
         probes = 0
@@ -364,7 +364,7 @@ def run_inverse_check(cfg: dict) -> RunResult:
         while probes < lem["probes"]:
             w = wrng.standard_normal(lem_phi.dim + 1)
             try:
-                fd, b1_fd = regression.bias_slopes(ctx, w)
+                fd, b1_fd = limits.bias_slopes(ctx, w)
             except BoundaryTooClose:
                 continue
             probes += 1

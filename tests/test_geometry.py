@@ -16,7 +16,6 @@ from ntkorigin import (
     Realization,
     SinusoidalTarget,
     augment,
-    augment_direction,
     shift_set,
 )
 
@@ -46,14 +45,38 @@ class TestAugment:
 
 class TestAugmentDirection:
     def test_appends_zero(self):
-        assert augment_direction(Direction([1.0, 0.0])).tolist() == [1.0, 0.0, 0.0]
+        assert Direction([1.0, 0.0]).augmented().tolist() == [1.0, 0.0, 0.0]
 
     def test_other_direction(self):
-        assert augment_direction(Direction([3.0, 4.0])).tolist() == [3.0, 4.0, 0.0]
+        assert Direction([3.0, 4.0]).augmented().tolist() == [3.0, 4.0, 0.0]
 
     def test_zero_rejected(self):
         with pytest.raises(DegenerateDirection):
-            augment_direction([0.0, 0.0])
+            Direction([0.0, 0.0]).augmented()
+
+
+class TestValueTypes:
+    @staticmethod
+    def _values():
+        phi = Realization((Point([1.0, 2.0]), Point([0.5, -1.0])))
+        ts = shift_set(phi, Direction([1.0, 0.0]), 3.0, SinusoidalTarget(u=[1.0, 0.0]))
+        return [
+            Point([1.0, 2.0]),
+            augment(Point([1.0, 2.0])),
+            Direction([1.0, 0.0]),
+            phi,
+            LinearTarget(a=[1.0, 0.0]),
+            QuadraticTarget(q=np.eye(2), a=[1.0, 0.0]),
+            SinusoidalTarget(u=[1.0, 0.0]),
+            ts,
+        ]
+
+    def test_equality_is_identity_and_values_hash(self):
+        # Equal-valued copies of every type: generated field equality would
+        # compare ndarrays, which raises for more than one entry.
+        for a, b in zip(self._values(), self._values()):
+            assert a == a and a != b, type(a).__name__
+            assert len({a, b, a}) == 2
 
 
 class TestShiftSet:

@@ -113,7 +113,7 @@ class TestShermanMorrison:
     def test_identity_product_over_grid(self):
         for n, kappa, t in GRID:
             for delta in _grid_delta(kappa, t):
-                inv = sherman_morrison_inverse(n, kappa, t, delta, dtype=np.longdouble)
+                inv = sherman_morrison_inverse(n, kappa, t, delta)
                 direct = (
                     np.longdouble(kappa) * np.longdouble(t) ** 2 * np.ones((n, n), dtype=np.longdouble)
                     + np.longdouble(delta) * np.eye(n, dtype=np.longdouble)
@@ -215,10 +215,9 @@ class TestLongDoubleGuard:
         with pytest.raises(NumericalFailure, match="long double"):
             tikhonov_solve(asymptotic_gram(2, 1.0, 10.0), TikhonovConfig(delta=0.01), np.ones(2), extended=True)
         with pytest.raises(NumericalFailure, match="long double"):
-            sherman_morrison_inverse(2, 1.0, 10.0, 0.01, dtype=np.longdouble)
-        # The float64 paths are not guarded.
+            sherman_morrison_inverse(2, 1.0, 10.0, 0.01)
+        # The float64 solve is not guarded.
         tikhonov_solve(asymptotic_gram(2, 1.0, 10.0), TikhonovConfig(delta=0.01), np.ones(2))
-        sherman_morrison_inverse(2, 1.0, 10.0, 0.01)
 
 
 class TestAsymptoticAlpha:

@@ -23,7 +23,6 @@ from ntkorigin import (
     SinusoidalTarget,
     TikhonovConfig,
     assemble_gram,
-    beta_closed_form,
     beta_from_alpha,
     bias_slopes,
     closed_form_context,
@@ -84,22 +83,29 @@ class TestBetaFromAlpha:
             beta_from_alpha(ts, alpha)
 
 
+def _closed_blocks(ctx, fs):
+    """The closed-form blocks of every feature in the sample, row by row."""
+    beta1 = np.array([ctx.beta1_at(w) for w in fs.weights])
+    beta2 = np.array([ctx.beta2_at(w) for w in fs.weights])
+    return beta1, beta2
+
+
 class TestBetaClosedForm:
     def test_inactive_limit_indicator_zeroes_block(self):
         ts, _, v, _ = _training_set()
         fs = sample_features(2, 64, seed=9)
-        beta = beta_closed_form(closed_form_context(ts, kappa=1.0, delta=0.5), fs)
+        beta1, beta2 = _closed_blocks(closed_form_context(ts, kappa=1.0, delta=0.5), fs)
         inactive = (fs.weights @ -np.append(v.coords, 0.0)) < 0
-        assert np.array_equal(beta.beta1[inactive], np.zeros((inactive.sum(), 3)))
-        assert np.array_equal(beta.beta2[inactive], np.zeros(inactive.sum()))
+        assert np.array_equal(beta1[inactive], np.zeros((inactive.sum(), 3)))
+        assert np.array_equal(beta2[inactive], np.zeros(inactive.sum()))
 
     def test_zero_target_zero_blocks(self):
         _, phi, v, _ = _training_set()
         fs = sample_features(2, 16, seed=9)
         ts = shift_set(phi, v, 100.0, LinearTarget(a=[0.0, 0.0], b=0.0))
-        beta = beta_closed_form(closed_form_context(ts, kappa=1.0, delta=0.5), fs)
-        assert np.array_equal(beta.beta1, np.zeros_like(beta.beta1))
-        assert np.array_equal(beta.beta2, np.zeros_like(beta.beta2))
+        beta1, beta2 = _closed_blocks(closed_form_context(ts, kappa=1.0, delta=0.5), fs)
+        assert np.array_equal(beta1, np.zeros_like(beta1))
+        assert np.array_equal(beta2, np.zeros_like(beta2))
 
     def test_deviation_from_sampled_blocks_shrinks_with_t(self):
         """Oracle: beta blocks from the solved finite-t Monte Carlo gram; the
@@ -115,10 +121,10 @@ class TestBetaClosedForm:
             km = assemble_gram(ts, MonteCarlo(fs))
             alpha = tikhonov_solve(km, TikhonovConfig(delta=delta), ts.labels)
             sampled = beta_from_alpha(ts, alpha)
-            closed = beta_closed_form(closed_form_context(ts, kappa=kappa, delta=delta), fs)
-            active = np.abs(closed.beta2) > 0
-            d1 = np.abs(closed.beta1[active] - sampled.beta1[active]).max() / np.abs(closed.beta1[active]).max()
-            d2 = np.abs(closed.beta2[active] - sampled.beta2[active]).max() / np.abs(closed.beta2[active]).max()
+            beta1, beta2 = _closed_blocks(closed_form_context(ts, kappa=kappa, delta=delta), fs)
+            active = np.abs(beta2) > 0
+            d1 = np.abs(beta1[active] - sampled.beta1[active]).max() / np.abs(beta1[active]).max()
+            d2 = np.abs(beta2[active] - sampled.beta2[active]).max() / np.abs(beta2[active]).max()
             devs.append(max(d1, d2))
         assert devs[2] < devs[1] < devs[0]
 

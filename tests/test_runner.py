@@ -364,20 +364,17 @@ class TestCli:
         rc = main(["theorem1", "--config", str(cfg), "--out", str(tmp_path / "t.csv")])
         assert rc == 2
 
-    def test_overflowing_delta_fails_its_cells(self, tmp_path, capsys):
-        # A relative delta, kappa * t**2, overflows a float at t=1e200. Each
-        # cell computes its own delta, so those cells give stub rows and the
-        # run goes on to write its CSV.
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"t_list": [1e200]}))
-        out = tmp_path / "out.csv"
-        assert main(["inverse-check", "--config", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.count("\n") == 1
-        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
-        check, mode, status = (header.index(col) for col in ("check", "delta_mode", "status"))
-        relative = {row[status] for row in rows if row[check] in ("identity", "alpha") and row[mode] == "relative"}
+    def test_overflowing_delta_fails_its_cells(self):
+        # A library caller skips the config rules. A relative delta, kappa *
+        # t**2, overflows a float at t=1e200. Each cell computes its own
+        # delta, so those cells give stub rows and the run goes on.
+        cfg = default_config("inverse-check")
+        cfg["t_list"] = [1e200]
+        res = RUNNERS["inverse-check"](cfg)
+        check, mode, status = (res.header.index(col) for col in ("check", "delta_mode", "status"))
+        relative = {row[status] for row in res.rows if row[check] in ("identity", "alpha") and row[mode] == "relative"}
         assert relative == {"error:OverflowError"}
-        assert all(row[status] == "ok" for row in rows if row[check] not in ("identity", "alpha"))
+        assert all(row[status] == "ok" for row in res.rows if row[check] not in ("identity", "alpha"))
 
     @pytest.mark.parametrize("sub, overlay", [
         ("farfield", {"v_phi": [0, 0]}),
@@ -418,6 +415,7 @@ class TestCli:
         ("theorem1", {"seed": -1}, [], "seed"),
         ("theorem1", {"t_list": [0]}, [], "t_list"),
         ("theorem1", {"t_list": [-100]}, [], "t_list"),
+        ("inverse-check", {"t_list": [1e200]}, [], "t_list"),
         ("theorem1", {"v_phi": [1, 0, 0]}, [], "v_phi"),
         ("gram-limit", {"features_seed": "x"}, [], "features_seed"),
         ("farfield", {"window": [1000.0, 100.0]}, [], "window"),
@@ -432,7 +430,7 @@ class TestCli:
         ("theorem1", {"d": 1, "v_phi": [1.0], "target": {"kind": "sinusoidal", "u": [1.3], "phase": 0.4}}, [],
          "include_orthogonal"),
     ], ids=["n-negative", "n-fractional", "box-one-bound", "radius-string", "seed-negative", "t-zero",
-            "t-negative", "v-phi-wrong-length", "features-seed-string", "window-reversed", "target-wrong-length",
+            "t-negative", "t-square-overflows", "v-phi-wrong-length", "features-seed-string", "window-reversed", "target-wrong-length",
             "delta-infinite", "delta-nan", "eval-points-negative", "n-list-zero", "probes-zero", "cli-seed-negative", "cli-threads-zero",
             "orthogonal-direction-in-one-dimension"])
     def test_value_breaking_its_rule_is_a_config_error(self, tmp_path, capsys, sub, overlay, args, key):
