@@ -1,5 +1,6 @@
 """Finite-width network: init, forward pass, gradient descent, lazy tracking."""
 
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from ntkorigin import (
     ANALYTIC,
     Direction,
     DivergenceError,
+    InvalidInput,
     LinearTarget,
     MLPConfig,
     MLPModel,
@@ -27,12 +29,22 @@ from ntkorigin import (
     evaluate_batch,
     init_features,
     init_model,
+    mlp,
     parameter_displacement,
     predict,
     shift_set,
     tikhonov_solve,
     train,
 )
+from ntkorigin.configs import overlay_config
+from ntkorigin.runner import realization_from_config, target_from_config
+
+
+class TestConfig:
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
+    def test_learning_rate_must_be_positive_and_finite(self, lr):
+        with pytest.raises(InvalidInput, match="lr must be positive and finite"):
+            MLPConfig(width=4, lr=lr)
 
 
 class TestInit:
@@ -121,6 +133,12 @@ class TestTrain:
         model = init_model(cfg, d=2)
         with pytest.raises(DivergenceError):
             train(model, ts, cfg)
+
+    @pytest.mark.parametrize("shape, dtype", [((3, 4096), np.float64), ((8, 64), bool), ((5,), np.float64)])
+    def test_step_buffers_start_on_a_cache_line(self, shape, dtype):
+        buf = mlp._line_aligned(shape, dtype)
+        assert buf.ctypes.data % 64 == 0
+        assert buf.shape == shape and buf.dtype == dtype and buf.flags.c_contiguous and buf.flags.writeable
 
     def test_all_dead_init_names_the_cause(self):
         # The single hidden unit of seed 0 is inactive on the single input,
@@ -312,6 +330,28 @@ class TestSinglePassMatchesTwoPass:
         rises = np.flatnonzero(np.diff(losses) > 0)
         falling = replace(cfg, steps=int(rises[0]) if rises.size else cfg.steps)
         assert _row_layout_drift(model, ts, falling) <= ROW_LAYOUT_RTOL
+
+    @pytest.mark.parametrize("stop", [False, True], ids=["full", "early-stop"])
+    @pytest.mark.parametrize("width", [64, 4096])
+    def test_trajectory_bit_identical_at_benchmark_shape(self, width, stop):
+        # The `mlp-train` benchmark's eight points at config seed 1, built as
+        # tools/default_digests.py builds them, at both of its widths.
+        rng = random.Random(1)
+        points = [[rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)] for _ in range(8)]
+        sweep = overlay_config("mlp-compare", {"seed": 1, "points": points, "widths": [64, 4096]})
+        phi = realization_from_config(sweep, np.random.default_rng(1))
+        ts = shift_set(phi, Direction(sweep["v_phi"]), sweep["t"], target_from_config(sweep["target"]))
+        cfg = MLPConfig(width=width, steps=200, seed=1)
+        model = init_model(cfg, d=2)
+        target = None
+        if stop:
+            target = float(_two_pass_train(model, ts, cfg)[1][150])
+        want_model, want = _two_pass_train(model, ts, cfg, target_loss=target)
+        got_model, got = train(model, ts, cfg, target_loss=target)
+        assert got.size == (151 if stop else 201)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_model.hidden, want_model.hidden)
+        assert np.array_equal(got_model.output, want_model.output)
 
     def test_divergence_raised_at_the_same_step(self):
         ts = TestTrain._task(n=1)

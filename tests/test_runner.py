@@ -376,6 +376,20 @@ class TestCli:
         assert relative == {"error:OverflowError"}
         assert all(row[status] == "ok" for row in res.rows if row[check] not in ("identity", "alpha"))
 
+    def test_closed_form_residual_past_its_bound_fails_the_row(self, tmp_path):
+        # kappa t**2 / delta = 4e310 is past long double's precision, so the
+        # absolute-delta identity product cancels to nothing: residual 1.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_list": [2], "kappa_list": [4.0], "t_list": [1e154]}))
+        out = tmp_path / "ic.csv"
+        with pytest.warns(RuntimeWarning):
+            assert main(["inverse-check", "--config", str(cfg), "--out", str(out)]) == 2
+        header, *rows = (line.split(",") for line in out.read_text().splitlines())
+        check, mode, status, resid = (header.index(c) for c in ("check", "delta_mode", "status", "residual"))
+        identity = {row[mode]: (row[status], row[resid]) for row in rows if row[check] == "identity"}
+        assert identity["absolute"] == ("error:IdentityResidual", "1")
+        assert identity["relative"][0] == "ok" and float(identity["relative"][1]) < runner.CLOSED_FORM_RESIDUAL_BOUND
+
     @pytest.mark.parametrize("sub, overlay", [
         ("farfield", {"v_phi": [0, 0]}),
         ("theorem1", {"mode": "mc", "k_features": 0}),
