@@ -2,15 +2,23 @@
 
 Solves never form an inverse; they factor K + delta*I and refine. The
 far-shift closed forms of the gram, its inverse and its alpha live in `limits`.
+
+The factor and its substitution solves are LAPACK's `dpotrf`/`dpotrs` from
+scipy's compiled wrapper module `_flapack`, loaded on its own: importing
+`scipy.linalg` would also load numpy submodules nothing here uses, at several
+times the cost. scipy's LAPACK, not numpy's: numpy links another OpenBLAS
+build and has no Cholesky solve, so its route changes alpha's last bits.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     DimensionError,
@@ -22,6 +30,51 @@ from .geometry import ShiftedTrainingSet
 from .kernel import ANALYTIC, KernelMode, kernel_matrix
 
 RESIDUAL_BOUND = 1e-8
+
+
+def _load_flapack():
+    """scipy's `_flapack` extension module, found and loaded without importing scipy."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("ntkorigin needs scipy's compiled LAPACK module _flapack, and scipy is not installed")
+    search = [os.path.join(root, "linalg") for root in scipy_spec.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", search)
+    if spec is None:
+        raise ImportError(f"scipy's compiled LAPACK module _flapack was not found in {', '.join(search)}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_FLAPACK = _load_flapack()
+
+
+def _cho_factor(g: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of g, called as `scipy.linalg.cho_factor` calls it.
+
+    The strict lower triangle keeps g's entries. g itself is never
+    overwritten, because the refinement's long-double residual reads it.
+    """
+    c, info = _FLAPACK.dpotrf(np.asarray_chkfinite(g), lower=0, clean=0, overwrite_a=0)
+    if info > 0:
+        raise NumericalFailure(
+            f"Cholesky breakdown: {info}-th leading minor of the array is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in {-info}-th argument on entry to DPOTRF")
+    return c
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve with the upper factor of `_cho_factor`, as `scipy.linalg.cho_solve` does."""
+    b = np.asarray_chkfinite(b)
+    if b.size == 0:  # dpotrs's wrapper rejects an empty system
+        return np.empty_like(b)
+    x, info = _FLAPACK.dpotrs(c, b, lower=0, overwrite_b=0)
+    if info != 0:
+        raise ValueError(f"LAPACK reported an illegal value in {-info}-th argument on entry to DPOTRS")
+    return x
+
 
 # The extended-precision paths need a long double with more mantissa than
 # float64 (80-bit on x86-64). Where it is only float64 they would lose their
@@ -152,13 +205,15 @@ def tikhonov_solve(
 ) -> AlphaVector:
     """Solve (K + delta I) alpha = Y by Cholesky factorization.
 
-    The float64 path applies two steps of iterative refinement with the
-    residual accumulated in extended precision, which restores forward accuracy
-    on the badly conditioned rank-one-plus-delta systems of the far-shift
-    limit. With extended=True the whole solve runs in long double so that delta
-    is not absorbed into the diagonal's float64 ulp; use it when validating
-    closed forms at tolerances near 1e-8. It raises NumericalFailure where
-    long double is no wider than float64.
+    The float64 path factors with LAPACK's `dpotrf` and solves with `dpotrs`,
+    called as `scipy.linalg.cho_factor` and `cho_solve` call them, so alpha
+    keeps their bits. It applies two steps of iterative refinement with the
+    residual accumulated in extended precision, which restores forward
+    accuracy on the badly conditioned rank-one-plus-delta systems of the
+    far-shift limit. With extended=True the whole solve runs in long double
+    so that delta is not absorbed into the diagonal's float64 ulp; use it when
+    validating closed forms at tolerances near 1e-8. It raises
+    NumericalFailure where long double is no wider than float64.
     """
     y = np.asarray(labels, dtype=np.float64)
     if y.ndim != 1 or y.size != gram.n:
@@ -174,17 +229,14 @@ def tikhonov_solve(
         alpha = alpha_ld.astype(np.float64)
     else:
         g = gram.entries + delta * np.eye(gram.n)
-        try:
-            factor = sla.cho_factor(g)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"Cholesky breakdown: {exc}") from exc
-        pivots = np.diag(factor[0])
-        alpha = sla.cho_solve(factor, y)
+        factor = _cho_factor(g)
+        pivots = np.diag(factor)
+        alpha = _cho_solve(factor, y)
         g_ld = g.astype(np.longdouble)
         y_ld = y.astype(np.longdouble)
         for _ in range(2):
             r = y_ld - g_ld @ alpha.astype(np.longdouble)
-            alpha = (alpha.astype(np.longdouble) + sla.cho_solve(factor, np.asarray(r, dtype=np.float64))).astype(
+            alpha = (alpha.astype(np.longdouble) + _cho_solve(factor, np.asarray(r, dtype=np.float64))).astype(
                 np.float64
             )
         resid = float(np.linalg.norm((g_ld @ alpha.astype(np.longdouble) - y_ld).astype(np.float64)))

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it lazily; this keeps its import out of the first draw)
 
 from .errors import DimensionError, InvalidInput
 from .geometry import AugmentedPoint, Direction, ShiftedTrainingSet

@@ -78,15 +78,21 @@ def asymptotic_alpha(labels: np.ndarray, n: int, kappa: float, t: float, delta: 
 
         alpha_i = (t^2 kappa (n Y_i - sum_j Y_j) + delta Y_i) / (delta (n kappa t^2 + delta)),
 
-    whose terms never cancel catastrophically when kappa t^2 >> delta.
+    whose terms never cancel catastrophically when kappa t^2 >> delta. A
+    denominator that overflows float64 raises InvalidInput.
     """
     _check_rank_one(n, kappa, t, delta)
     y = np.asarray(labels, dtype=np.float64)
     if y.ndim != 1 or y.size != n:
         raise DimensionError(f"labels shape {y.shape} does not match n={n}")
     lead = float(kappa) * float(t) ** 2
+    denom = delta * (n * lead + delta)
+    if not np.isfinite(denom):
+        raise InvalidInput(
+            f"delta (n kappa t^2 + delta) overflows float64 at n={n}, kappa={kappa}, t={t}, delta={delta}"
+        )
     total = y.sum()
-    vals = (lead * (n * y - total) + delta * y) / (delta * (n * lead + delta))
+    vals = (lead * (n * y - total) + delta * y) / denom
     return AlphaVector(values=vals, delta=float(delta))
 
 

@@ -6,9 +6,11 @@ oracle.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from conftest import run_fresh
 
 from ntkorigin import gram
 from ntkorigin import (
@@ -181,6 +183,87 @@ class TestTikhonovSolve:
         assert np.linalg.eigvalsh(full)[0] >= delta * (1 - 1e-8)
 
 
+# Factors and solves two grams with the module's LAPACK pair, then with
+# scipy.linalg's cho_factor and cho_solve, and compares the bits. The first is
+# `theorem1`'s analytic gram at n=128, t=1e4 and config seed 1, whose alpha the
+# benchmark's reference check gates bit for bit; the second a random SPD gram.
+_SAME_BITS = """
+import sys
+{first}
+import numpy as np
+from ntkorigin import ANALYTIC, gram, shift_set
+from ntkorigin.configs import delta_from_config, overlay_config
+from ntkorigin.runner import _scenario
+
+cfg = overlay_config("theorem1", {{"seed": 1, "n": 128, "mode": "analytic"}})
+_, phi, target, v_phi = _scenario(cfg)
+ts = shift_set(phi, v_phi, 1e4, target)
+km = gram.assemble_gram(ts, ANALYTIC)
+rng = np.random.default_rng(5)
+a = rng.standard_normal((40, 40))
+cases = [
+    (km.entries + delta_from_config(cfg["delta"]).resolve(km) * np.eye(km.n), ts.labels),
+    (a @ a.T + 1e-3 * np.eye(40), rng.standard_normal(40)),
+]
+ours = []
+for g, b in cases:
+    c = gram._cho_factor(g)
+    ours.append((c, gram._cho_solve(c, b)))
+assert ("scipy.linalg" in sys.modules) == {scipy_first}
+import scipy.linalg as sla
+for (g, b), (c, x) in zip(cases, ours):
+    factor = sla.cho_factor(g)
+    assert factor[1] is False
+    assert np.array_equal(c, factor[0]), "factor"
+    assert np.array_equal(x, sla.cho_solve(factor, b)), "solve"
+print("same bits")
+"""
+
+
+class TestLapackPair:
+    """`tikhonov_solve` factors and solves with scipy's compiled LAPACK, loaded
+    without `scipy.linalg`, and keeps `cho_factor`/`cho_solve`'s bits and checks."""
+
+    @pytest.mark.parametrize("scipy_first", [True, False], ids=["scipy-linalg-first", "gram-first"])
+    def test_same_bits_as_cho_factor_and_cho_solve(self, scipy_first):
+        code = _SAME_BITS.format(first="import scipy.linalg" if scipy_first else "", scipy_first=scipy_first)
+        proc = run_fresh(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "same bits\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_is_a_value_error(self, bad):
+        g = 2.0 * np.eye(3)
+        g[1, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            gram._cho_factor(g)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_labels_are_a_value_error(self, bad):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            tikhonov_solve(asymptotic_gram(3, 1.0, 10.0), TikhonovConfig(delta=0.01), np.array([1.0, bad, 0.0]))
+
+    def test_empty_gram_gives_an_empty_alpha(self):
+        alpha = tikhonov_solve(gram.GramMatrix(entries=np.zeros((0, 0))), TikhonovConfig(delta=1e-3), np.zeros(0))
+        assert alpha.values.shape == (0,) and alpha.residual == 0.0
+
+    def test_input_is_not_overwritten(self):
+        # Fortran order, the one layout LAPACK could factor in place.
+        g = np.asfortranarray([[4.0, 2.0], [2.0, 3.0]])
+        kept = g.copy()
+        gram._cho_solve(gram._cho_factor(g), np.ones(2))
+        assert np.array_equal(g, kept)
+
+    def test_missing_flapack_fails_the_import_naming_the_directory(self, tmp_path):
+        # A scipy package without the compiled module shadows the real one.
+        (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        proc = run_fresh("import ntkorigin", path=(tmp_path,))
+        assert proc.returncode != 0
+        assert "ImportError: scipy's compiled LAPACK module _flapack was not found in" in proc.stderr
+        assert str(tmp_path / "scipy" / "linalg") in proc.stderr
+
+
 class TestFailureMessages:
     """Failure messages are built from the Cholesky factor, never from an SVD."""
 
@@ -194,8 +277,9 @@ class TestFailureMessages:
 
     def test_breakdown_names_the_failing_minor(self):
         indefinite = gram.GramMatrix(entries=np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(NumericalFailure, match="Cholesky breakdown.*minor"):
+        with pytest.raises(NumericalFailure) as info:
             tikhonov_solve(indefinite, TikhonovConfig(delta=1e-3), np.ones(2))
+        assert str(info.value) == "Cholesky breakdown: 2-th leading minor of the array is not positive definite"
 
     @pytest.mark.parametrize("extended", [False, True])
     def test_residual_gate_reports_a_condition_lower_bound(self, extended):
@@ -259,6 +343,19 @@ class TestAsymptoticAlpha:
     def test_empty_set_rejected(self):
         with pytest.raises(DimensionError, match="n must be >= 1"):
             asymptotic_alpha(np.ones(0), 0, 1.0, 10.0, 1.0)
+
+    @pytest.mark.parametrize("n, kappa, t, delta", [
+        (2, 4.0, 1e154, 0.01),
+        (2, 4.0, 1e154, 4e300),
+        (2, 1.0, 1e150, 1e10),
+    ], ids=["n-kappa-t2-overflows", "relative-delta", "delta-times-sum-overflows"])
+    def test_overflowing_denominator_is_invalid_input_without_a_warning(self, n, kappa, t, delta):
+        # The third case has a finite n kappa t^2; unchecked, its inf
+        # denominator would give an alpha of zeros.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="overflows float64"):
+                asymptotic_alpha(np.array([1.0, 2.0]), n, kappa, t, delta)
 
 
 class TestGramLimit:

@@ -5,11 +5,12 @@ import inspect
 import json
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import SLACK, tile_bytes, traced_peak
+from conftest import SLACK, run_fresh, tile_bytes, traced_peak
 
 from ntkorigin import (
     ConfigError,
@@ -382,13 +383,18 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_list": [2], "kappa_list": [4.0], "t_list": [1e154]}))
         out = tmp_path / "ic.csv"
-        with pytest.warns(RuntimeWarning):
+        # The alpha rows' n kappa t**2 overflows float64; they fail with
+        # InvalidInput before numpy warns about inf / inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["inverse-check", "--config", str(cfg), "--out", str(out)]) == 2
         header, *rows = (line.split(",") for line in out.read_text().splitlines())
         check, mode, status, resid = (header.index(c) for c in ("check", "delta_mode", "status", "residual"))
         identity = {row[mode]: (row[status], row[resid]) for row in rows if row[check] == "identity"}
         assert identity["absolute"] == ("error:IdentityResidual", "1")
         assert identity["relative"][0] == "ok" and float(identity["relative"][1]) < runner.CLOSED_FORM_RESIDUAL_BOUND
+        alpha = {row[mode]: row[status] for row in rows if row[check] == "alpha"}
+        assert alpha == {"absolute": "error:InvalidInput", "relative": "error:InvalidInput"}
 
     @pytest.mark.parametrize("sub, overlay", [
         ("farfield", {"v_phi": [0, 0]}),
@@ -469,6 +475,18 @@ class TestCli:
         assert main(["farfield", "--config", str(cfg), "--out", str(a)]) == 0
         assert main(["farfield", "--config", str(cfg), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestStartup:
+    def test_cli_import_loads_numpy_random_and_not_scipy_linalg(self):
+        # numpy.random is loaded up front, so its import is not timed inside
+        # the first sweep. scipy.linalg is not loaded at all, nor are the
+        # numpy submodules its import pulls in.
+        proc = run_fresh("import sys, ntkorigin.cli; print(' '.join(sorted(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "numpy.random" in loaded
+        assert not loaded & {"scipy.linalg", "numpy.f2py", "numpy.testing"}
 
 
 class TestWriteCsv:
