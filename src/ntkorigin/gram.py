@@ -1,7 +1,10 @@
 """Gram assembly and Tikhonov solves.
 
-Solves never form an inverse; they factor K + delta*I and refine. The
-far-shift closed forms of the gram, its inverse and its alpha live in `limits`.
+Solves never form an inverse. Each factors K + delta*I once, in float64, and
+refines against a long-double residual; the extended mode, used to validate
+closed forms, differs only in adding delta and keeping its iterate in long
+double. The far-shift closed forms of the gram, its inverse and its alpha
+live in `limits`.
 
 The factor and its substitution solves are LAPACK's `dpotrf`/`dpotrs` from
 scipy's compiled wrapper module `_flapack`, loaded on its own: importing
@@ -172,31 +175,6 @@ def assemble_gram(ts: ShiftedTrainingSet, mode: KernelMode) -> GramMatrix:
     return GramMatrix(entries=kernel_matrix(a, a, mode), mode=mode)
 
 
-def _cholesky_solve_longdouble(g: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unblocked Cholesky solve in extended precision (desk-scale n only).
-
-    Returns the solution and the diagonal of the Cholesky factor.
-    """
-    g = g.astype(np.longdouble)
-    y = y.astype(np.longdouble)
-    n = g.shape[0]
-    chol = np.zeros_like(g)
-    for j in range(n):
-        s = g[j, j] - np.dot(chol[j, :j], chol[j, :j])
-        if s <= 0:
-            raise NumericalFailure("extended-precision Cholesky hit a non-positive pivot")
-        chol[j, j] = np.sqrt(s)
-        if j + 1 < n:
-            chol[j + 1 :, j] = (g[j + 1 :, j] - chol[j + 1 :, :j] @ chol[j, :j]) / chol[j, j]
-    z = np.zeros(n, dtype=np.longdouble)
-    for i in range(n):
-        z[i] = (y[i] - np.dot(chol[i, :i], z[:i])) / chol[i, i]
-    x = np.zeros(n, dtype=np.longdouble)
-    for i in range(n - 1, -1, -1):
-        x[i] = (z[i] - np.dot(chol[i + 1 :, i], x[i + 1 :])) / chol[i, i]
-    return x, np.diag(chol)
-
-
 def tikhonov_solve(
     gram: GramMatrix,
     cfg: TikhonovConfig,
@@ -205,14 +183,17 @@ def tikhonov_solve(
 ) -> AlphaVector:
     """Solve (K + delta I) alpha = Y by Cholesky factorization.
 
-    The float64 path factors with LAPACK's `dpotrf` and solves with `dpotrs`,
-    called as `scipy.linalg.cho_factor` and `cho_solve` call them, so alpha
-    keeps their bits. It applies two steps of iterative refinement with the
-    residual accumulated in extended precision, which restores forward
-    accuracy on the badly conditioned rank-one-plus-delta systems of the
-    far-shift limit. With extended=True the whole solve runs in long double
-    so that delta is not absorbed into the diagonal's float64 ulp; use it when
-    validating closed forms at tolerances near 1e-8. It raises
+    Both modes factor K + delta*I once with LAPACK's `dpotrf` and solve with
+    `dpotrs`, called as `scipy.linalg.cho_factor` and `cho_solve` call them,
+    then take two steps of iterative refinement against a residual
+    accumulated in long double. That restores forward accuracy on the badly
+    conditioned rank-one-plus-delta systems of the far-shift limit. By
+    default the iterate is rounded to float64 after each step.
+
+    extended=True changes two things, for validating closed forms at
+    tolerances near 1e-8: the residual's matrix adds delta to K in long
+    double, so delta is not absorbed into the diagonal's float64 ulp, and
+    the iterate stays in long double between steps. It raises
     NumericalFailure where long double is no wider than float64.
     """
     y = np.asarray(labels, dtype=np.float64)
@@ -220,30 +201,27 @@ def tikhonov_solve(
         raise DimensionError(f"labels shape {y.shape} does not match gram size {gram.n}")
     delta = cfg.resolve(gram)
     ynorm = float(np.linalg.norm(y))
-
     if extended:
         _require_wide_longdouble("tikhonov_solve(extended=True)")
+
+    g = gram.entries + delta * np.eye(gram.n)
+    factor = _cho_factor(g)
+    if extended:
         g_ld = gram.entries.astype(np.longdouble) + np.longdouble(delta) * np.eye(gram.n, dtype=np.longdouble)
-        alpha_ld, pivots = _cholesky_solve_longdouble(g_ld, y)
-        resid = float(np.linalg.norm((g_ld @ alpha_ld - y.astype(np.longdouble)).astype(np.float64)))
-        alpha = alpha_ld.astype(np.float64)
     else:
-        g = gram.entries + delta * np.eye(gram.n)
-        factor = _cho_factor(g)
-        pivots = np.diag(factor)
-        alpha = _cho_solve(factor, y)
         g_ld = g.astype(np.longdouble)
-        y_ld = y.astype(np.longdouble)
-        for _ in range(2):
-            r = y_ld - g_ld @ alpha.astype(np.longdouble)
-            alpha = (alpha.astype(np.longdouble) + _cho_solve(factor, np.asarray(r, dtype=np.float64))).astype(
-                np.float64
-            )
-        resid = float(np.linalg.norm((g_ld @ alpha.astype(np.longdouble) - y_ld).astype(np.float64)))
+    iterate = np.longdouble if extended else np.float64
+    y_ld = y.astype(np.longdouble)
+    alpha = _cho_solve(factor, y)
+    for _ in range(2):
+        r = y_ld - g_ld @ alpha.astype(np.longdouble)
+        alpha = (alpha.astype(np.longdouble) + _cho_solve(factor, np.asarray(r, dtype=np.float64))).astype(iterate)
+    resid = float(np.linalg.norm((g_ld @ alpha.astype(np.longdouble) - y_ld).astype(np.float64)))
 
     if ynorm > 0 and resid > RESIDUAL_BOUND * ynorm:
         # cond(L L^T) = cond(L)^2, and cond(L) is at least the ratio of L's
         # extreme diagonal entries, its eigenvalues: a bound that costs no SVD.
+        pivots = np.diag(factor)
         cond_floor = float(np.max(pivots) / np.min(pivots)) ** 2
         raise NumericalFailure(
             f"solve residual {resid:.3e} exceeds {RESIDUAL_BOUND:.0e} * |Y|, "

@@ -43,10 +43,25 @@ def _check_rank_one(n: int, kappa: float, t: float, delta: float | None = None) 
         raise InvalidRegularization(f"delta must be positive and finite, got {delta}")
 
 
+def _t_squared(kappa: float, t: float) -> float:
+    """t^2 as `float(t) ** 2` gives it, where kappa t^2 is finite in float64.
+
+    Python's float power raises a bare OverflowError past t of about 1.34e154;
+    this raises InvalidInput there, as it does for any kappa t^2 that overflows.
+    """
+    try:
+        t2 = float(t) ** 2
+    except OverflowError:
+        t2 = np.inf
+    if not np.isfinite(float(kappa) * t2):
+        raise InvalidInput(f"kappa t^2 overflows float64 at kappa={kappa}, t={t}")
+    return t2
+
+
 def asymptotic_gram(n: int, kappa: float, t: float) -> GramMatrix:
     """The far-shift limit gram kappa * t^2 * J (all entries equal)."""
     _check_rank_one(n, kappa, t)
-    return GramMatrix(entries=np.full((n, n), float(kappa) * float(t) ** 2))
+    return GramMatrix(entries=np.full((n, n), float(kappa) * _t_squared(kappa, t)))
 
 
 def sherman_morrison_inverse(n: int, kappa: float, t: float, delta: float) -> np.ndarray:
@@ -79,13 +94,13 @@ def asymptotic_alpha(labels: np.ndarray, n: int, kappa: float, t: float, delta: 
         alpha_i = (t^2 kappa (n Y_i - sum_j Y_j) + delta Y_i) / (delta (n kappa t^2 + delta)),
 
     whose terms never cancel catastrophically when kappa t^2 >> delta. A
-    denominator that overflows float64 raises InvalidInput.
+    kappa t^2 or a denominator that overflows float64 raises InvalidInput.
     """
     _check_rank_one(n, kappa, t, delta)
     y = np.asarray(labels, dtype=np.float64)
     if y.ndim != 1 or y.size != n:
         raise DimensionError(f"labels shape {y.shape} does not match n={n}")
-    lead = float(kappa) * float(t) ** 2
+    lead = float(kappa) * _t_squared(kappa, t)
     denom = delta * (n * lead + delta)
     if not np.isfinite(denom):
         raise InvalidInput(
@@ -134,7 +149,8 @@ def closed_form_context(ts: ShiftedTrainingSet, kappa: float, delta: float) -> C
     """Derive the far-shift closed forms of one training set once."""
     _check_rank_one(ts.n, kappa, ts.t, delta)
     kappa, delta = float(kappa), float(delta)
-    lead = kappa * ts.t**2
+    t2 = _t_squared(kappa, ts.t)
+    lead = kappa * t2
     c_factor = -lead / (delta * (ts.n * lead + delta))
     g_sum = float(ts.labels.sum())
     sum_aug = ts.augmented.sum(axis=0)
@@ -144,7 +160,7 @@ def closed_form_context(ts: ShiftedTrainingSet, kappa: float, delta: float) -> C
         v_norm=ts.direction.norm,
         combined=c_factor * g_sum * sum_aug + sum_aug_weighted / delta,
         g_sum=g_sum,
-        law=g_sum / (ts.n * kappa * ts.t**2 + delta),
+        law=g_sum / (ts.n * kappa * t2 + delta),
     )
 
 

@@ -12,6 +12,7 @@ from ntkorigin import (
     DimensionError,
     Direction,
     FeatureSample,
+    InvalidInput,
     InvalidRegularization,
     FeatureSpacePredictor,
     LinearTarget,
@@ -291,6 +292,12 @@ class TestBiasSensitivity:
         ts, *_ = _training_set()
         with pytest.raises(InvalidRegularization, match="positive and finite"):
             closed_form_context(ts, kappa=1.0, delta=delta)
+
+    def test_t_whose_square_overflows_is_invalid_input(self):
+        # Python's float(t) ** 2 raises a bare OverflowError past t ~ 1.34e154.
+        ts, *_ = _training_set(t=1e200)
+        with pytest.raises(InvalidInput, match="kappa t\\^2 overflows float64"):
+            closed_form_context(ts, kappa=1.0, delta=1.0)
 
 
 def _reference_slopes(ts, kappa, delta, w):
