@@ -58,7 +58,6 @@ from .gram import (
 )
 from .regression import (
     BetaComponents,
-    FeatureSpacePredictor,
     PointWisePredictor,
     Predictor,
     beta_from_alpha,
@@ -74,11 +73,8 @@ from .limits import (
 )
 from .calculus import (
     DegreeClass,
-    DerivativeEstimate,
     ExtrapolationProfile,
-    PascalCoefficients,
     classify,
-    default_step,
     directional_derivative,
     fit_profile,
     pascal_coefficients,

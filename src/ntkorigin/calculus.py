@@ -6,12 +6,20 @@ P_i = (-1)^(z-i) binom(z, i), so that
 
     D_v^z f(x0) ~= sum_i P_i f(x0 + i h v) / h^z.
 
+`pascal_coefficients(z)` returns that row in stencil-point order: entry i
+multiplies f at x_i = x0 + i h v, so entry z is 1.
+
 Two exact integer/algebraic identities of that row are exposed as checks: the
 row-to-previous-row correspondence P_i^(z) (z - i) = -z P_i^(z-1), and the
 split of the point-weighted sum into an anchored term plus a lower-order
 indicator sum. Note the minus sign in the correspondence: consecutive signed
 rows alternate at fixed i, so the magnitude recurrence binom(z,i)(z-i) =
 z binom(z-1,i) picks up a sign flip.
+
+Both samplers, `directional_derivative` and `fit_profile`, share one
+contract: f is called once, on the (m, d) array whose rows are the sample
+points in order, and returns their m values. A return of another shape or
+with a non-finite entry raises EvaluationError.
 """
 
 from __future__ import annotations
@@ -26,30 +34,11 @@ from .errors import DimensionError, EvaluationError, FitFailure, InvalidInput
 from .geometry import AugmentedPoint, Direction, Point
 
 
-@dataclass(frozen=True, eq=False)
-class PascalCoefficients:
-    """Signed stencil row of order z, stored as [P_z, P_{z-1}, ..., P_0]."""
-
-    order: int
-    coeffs: np.ndarray
-
-    def coefficient(self, i: int) -> int:
-        """P_i for i in 0..z (i indexes the stencil point x_i)."""
-        if not 0 <= i <= self.order:
-            raise IndexError(f"i={i} outside 0..{self.order}")
-        return int(self.coeffs[self.order - i])
-
-    def by_point(self) -> np.ndarray:
-        """Coefficients reordered as [P_0, P_1, ..., P_z]."""
-        return self.coeffs[::-1].copy()
-
-
-def pascal_coefficients(z: int) -> PascalCoefficients:
-    """Sign-alternating Pascal row of order z; index 0 multiplies the far point x_z."""
+def pascal_coefficients(z: int) -> np.ndarray:
+    """Signed stencil row of order z in stencil-point order: P_i = (-1)^(z-i) binom(z, i), i = 0..z."""
     if z < 0:
         raise InvalidInput(f"order must be >= 0, got {z}")
-    coeffs = np.array([(-1) ** j * math.comb(z, j) for j in range(z + 1)], dtype=np.int64)
-    return PascalCoefficients(order=z, coeffs=coeffs)
+    return np.array([(-1) ** (z - i) * math.comb(z, i) for i in range(z + 1)], dtype=np.int64)
 
 
 def pascal_shift_identity(z: int) -> bool:
@@ -59,11 +48,8 @@ def pascal_shift_identity(z: int) -> bool:
     """
     if z < 1:
         raise InvalidInput(f"order must be >= 1, got {z}")
-    row = pascal_coefficients(z)
-    prev = pascal_coefficients(z - 1)
-    return all(
-        row.coefficient(i) * (z - i) == -z * prev.coefficient(i) for i in range(z)
-    )
+    row, prev = pascal_coefficients(z).tolist(), pascal_coefficients(z - 1).tolist()
+    return all(row[i] * (z - i) == -z * prev[i] for i in range(z))
 
 
 def sigma_identity_check(
@@ -93,52 +79,49 @@ def sigma_identity_check(
     if vhat.size != x0.coords.size:
         raise DimensionError("direction and point dimensions differ")
     pts = x0.coords[None, :] + np.arange(z + 1)[:, None] * (h * vhat)[None, :]
-    p_row = pascal_coefficients(z).by_point().astype(np.float64)
-    p_prev = pascal_coefficients(z - 1).by_point().astype(np.float64)
+    p_row = pascal_coefficients(z).astype(np.float64)
+    p_prev = pascal_coefficients(z - 1).astype(np.float64)
     direct = (p_row * bits)[:, None] * pts
     lhs = direct.sum(axis=0)
     rhs = pts[z] * np.sum(p_row * bits) + z * h * vhat * np.sum(p_prev * bits[:z])
     return float(np.abs(lhs - rhs).max())
 
 
-@dataclass(frozen=True)
-class DerivativeEstimate:
-    """One forward-stencil derivative estimate."""
-
-    order: int
-    step: float
-    value: float
-
-
-def default_step(z: int, x0: Point) -> float:
-    """Balance truncation against rounding: h = eps^(1/(z+1)) * (1 + |x0|)."""
-    eps = np.finfo(np.float64).eps
-    return float(eps ** (1.0 / (z + 1)) * (1.0 + np.linalg.norm(x0.coords)))
+def _sample(f: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
+    """f's values at the rows of `points`, from one call: an (m,) array of finite floats."""
+    vals = np.asarray(f(points), dtype=np.float64)
+    m = points.shape[0]
+    if vals.shape != (m,):
+        raise EvaluationError(f"f returned shape {vals.shape} for {m} sample points")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise EvaluationError(f"f returned {float(vals[bad[0]])!r} at sample point {points[bad[0]]}")
+    return vals
 
 
 def directional_derivative(
-    f: Callable[[Point], float],
+    f: Callable[[np.ndarray], np.ndarray],
     x0: Point,
     v: Direction,
     z: int,
-    h: float | None = None,
-) -> DerivativeEstimate:
-    """z-th directional derivative via the forward stencil x0, x0+hv, ..., x0+zhv."""
+    h: float,
+) -> float:
+    """z-th directional derivative via the forward stencil x0, x0+hv, ..., x0+zhv.
+
+    f is called once, on the (z+1, d) array of stencil points in that order.
+    The weighted sum runs left to right from x0.
+    """
     if z < 1:
         raise InvalidInput(f"order must be >= 1, got {z}")
     if x0.dim != v.dim:
         raise DimensionError("point and direction dimensions differ")
-    step = default_step(z, x0) if h is None else float(h)
-    if step <= 0:
-        raise InvalidInput(f"step must be positive, got {step}")
-    weights = pascal_coefficients(z).by_point().astype(np.float64)
+    if not h > 0:
+        raise InvalidInput(f"step must be positive, got {h}")
+    vals = _sample(f, x0.coords + (np.arange(z + 1) * h)[:, None] * v.coords)
     acc = 0.0
-    for i in range(z + 1):
-        val = f(Point(x0.coords + i * step * v.coords))
-        if not np.isfinite(val):
-            raise EvaluationError(f"f returned {val!r} at stencil point {i}")
-        acc += weights[i] * val
-    return DerivativeEstimate(order=z, step=step, value=acc / step**z)
+    for weight, val in zip(pascal_coefficients(z).astype(np.float64), vals):
+        acc += weight * val
+    return float(acc / h**z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,12 +172,7 @@ def fit_profile(
     if base.dim != v.dim:
         raise DimensionError("base point and direction dimensions differ")
     offsets = np.linspace(-radius, radius, m)
-    vals = np.asarray(f(base.coords + offsets[:, None] * v.coords), dtype=np.float64)
-    if vals.shape != (m,):
-        raise EvaluationError(f"f returned shape {vals.shape} for {m} sample points")
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise EvaluationError(f"f returned {float(vals[bad[0]])!r} at offset {offsets[bad[0]]}")
+    vals = _sample(f, base.coords + offsets[:, None] * v.coords)
     vander = np.vander(offsets / radius, degmax + 1, increasing=True)
     sol, _, rank, _ = np.linalg.lstsq(vander, vals, rcond=None)
     if rank < degmax + 1:

@@ -120,14 +120,10 @@ class Realization:
 
 
 class TargetFunction:
-    """Scalar target g evaluable at single points or at (n, d) batches."""
+    """Scalar target g, evaluated at the rows of an (n, d) array."""
 
     def value(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def __call__(self, p: Point | np.ndarray) -> float:
-        x = p.coords if isinstance(p, Point) else np.asarray(p, dtype=np.float64)
-        return float(self.value(x[None, :])[0])
 
 
 @dataclass(frozen=True, eq=False)

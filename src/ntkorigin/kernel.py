@@ -324,14 +324,14 @@ def diagonal(x: AugmentedPoint | np.ndarray, count: int, seed: int) -> KernelEst
 
 
 def kappa(v: Direction, mode: KernelMode) -> KernelEstimate:
-    """Leading gram coefficient: integral of (|v_hat|^2 + <w, v_hat>^2) over the
-    active half-space 1(<w, -v_hat> >= 0).
+    """Leading gram coefficient: integral of (|v|^2 + <w, v>^2) over the active
+    half-space 1(<w, -v> >= 0), with v augmented by a 0 bias entry.
 
     In analytic mode this equals |v|^2 under standard normal features: the
     half-space carries probability 1/2 and contributes |v|^2/2 from each of the
     two integrand terms. The integrand is 2-homogeneous in v.
 
-    In Monte Carlo mode it is the kernel integrand at the pair (-v_hat, -v_hat),
+    In Monte Carlo mode it is the kernel integrand at the pair (-v, -v),
     integrated tile by tile over the sample into one K-length vector of
     contributions, which the standard error reuses, so the estimate needs one
     K-length vector and one tile-length mask besides the sample.

@@ -81,19 +81,14 @@ class PointWisePredictor:
             raise DimensionError(f"alpha size {self.alpha.n} != training size {self.training.n}")
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureSpacePredictor:
-    """Feature-space form: f(x) = mean_k [<beta1_k, phi1_k(x)> + beta2_k phi2_k(x)]."""
-
-    beta: BetaComponents
-
-
-Predictor = PointWisePredictor | FeatureSpacePredictor
+Predictor = PointWisePredictor | BetaComponents
 
 
 def predict(pred: Predictor, x: Point | np.ndarray) -> float | np.ndarray:
     """Evaluate a fitted predictor at a point, or at every row of an (m, d) array.
 
+    A `PointWisePredictor` evaluates its kernel expansion, and `BetaComponents`
+    the feature-space form f(x) = mean_k [<beta1_k, phi1_k(x)> + beta2_k phi2_k(x)].
     A `Point` gives a float and an array gives an (m,) array whose entries
     equal the per-point values bit for bit. Both forms share the 1/K Monte
     Carlo normalization, so built from one feature sample they agree up to
@@ -112,11 +107,11 @@ def predict(pred: Predictor, x: Point | np.ndarray) -> float | np.ndarray:
         # vecdot reduces each kernel row like the 1-D dot of a single point.
         vals = np.vecdot(kernel_matrix(xa, a, pred.alpha.mode), pred.alpha.values)
     else:
-        fs = pred.beta.features
+        fs = pred.features
         if xa.shape[1] != fs.dim + 1:
             raise DimensionError(f"point dim {xa.shape[1] - 1} != feature dim {fs.dim}")
         vals = np.empty(xa.shape[0])
         for i, row in enumerate(xa):
             s = fs.weights @ row
-            vals[i] = ((pred.beta.beta1 @ row + pred.beta.beta2 * s) * (s >= 0.0)).mean()
+            vals[i] = ((pred.beta1 @ row + pred.beta2 * s) * (s >= 0.0)).mean()
     return float(vals[0]) if isinstance(x, Point) else vals

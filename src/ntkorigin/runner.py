@@ -179,11 +179,10 @@ def run_theorem1(cfg: dict) -> RunResult:
                         "ratio32": cls.ratio32, "ratio42": cls.ratio42, "classification": cls.label})
         if mc:
             beta = regression.beta_from_alpha(ts, alpha)
-            fsp = regression.FeatureSpacePredictor(beta=beta)
             eq_rng = np.random.default_rng(cfg["seed"] + 2)
             xs = eq_rng.uniform(-2.0, 2.0, (cfg["equivalence_points"], cfg["d"]))
             fp = regression.predict(predictor, xs)
-            ff = regression.predict(fsp, xs)
+            ff = regression.predict(beta, xs)
             dev = float(np.max(np.abs(fp - ff) / (1.0 + np.abs(fp)), initial=0.0))
             out.append({**common, "direction": "equivalence", "orthogonal": False, "equivalence_dev": dev})
         return out
@@ -274,37 +273,36 @@ CLOSED_FORM_RESIDUAL_BOUND = 1e-8
 def run_inverse_check(cfg: dict) -> RunResult:
     rng = np.random.default_rng(cfg["seed"])
 
-    def checked(key, resid, failure) -> list[dict]:
-        status = "ok" if resid < CLOSED_FORM_RESIDUAL_BOUND else failure
-        return [{**key, "status": status, "residual": resid}]
-
     def resolve(dcfg, kap, t) -> float:
-        # Called inside each cell, so a t**2 that overflows fails only that cell.
-        return dcfg.delta * kap * t**2 if dcfg.mode == "relative" else dcfg.delta
+        # A relative delta is (delta kappa) t**2, a kappa t**2 of its own. It
+        # is resolved inside each cell under the closed forms' overflow rule,
+        # so one that overflows fails only its cell, with InvalidInput.
+        if dcfg.mode == "absolute":
+            return dcfg.delta
+        scale = dcfg.delta * kap
+        return scale * limits._t_squared(scale, t)
 
-    def with_delta(fn, key, n, kap, t, dcfg, labels) -> list[dict]:
+    def rank_one_cell(key, n, kap, t, dcfg, labels) -> list[dict]:
         delta = resolve(dcfg, kap, t)
-        return fn({**key, "delta": delta}, n, kap, t, delta, labels)
-
-    def identity_cell(key, n, kap, t, delta, labels) -> list[dict]:
-        inv = limits.sherman_morrison_inverse(n, kap, t, delta)
-        direct = np.longdouble(kap) * np.longdouble(t) ** 2 * np.ones(
-            (n, n), dtype=np.longdouble
-        ) + np.longdouble(delta) * np.eye(n, dtype=np.longdouble)
-        resid = float(np.abs(inv @ direct - np.eye(n, dtype=np.longdouble)).max())
-        return checked(key, resid, "error:IdentityResidual")
-
-    def alpha_cell(key, n, kap, t, delta, labels) -> list[dict]:
-        closed = limits.asymptotic_alpha(labels, n, kap, t, delta)
-        solved = gram.tikhonov_solve(
-            limits.asymptotic_gram(n, kap, t),
-            gram.TikhonovConfig(delta=delta, mode="absolute"),
-            labels,
-            extended=True,
-        )
-        scale = float(np.abs(closed.values).max())
-        dev = float(np.abs(closed.values - solved.values).max()) / scale if scale else 0.0
-        return checked(key, dev, "error:AlphaResidual")
+        if kap == 0.0:
+            # Degenerate rank-one block: the closed forms reduce to plain
+            # scaled identities, nothing left to validate.
+            return [{**key, "delta": delta, "status": "skipped:degenerate"}]
+        if key["check"] == "identity":
+            ld = np.longdouble
+            inv = limits.sherman_morrison_inverse(n, kap, t, delta)
+            direct = ld(kap) * ld(t) ** 2 * np.ones((n, n), dtype=ld) + ld(delta) * np.eye(n, dtype=ld)
+            resid = float(np.abs(inv @ direct - np.eye(n, dtype=ld)).max())
+            failure = "error:IdentityResidual"
+        else:
+            closed = limits.asymptotic_alpha(labels, n, kap, t, delta)
+            solved = gram.tikhonov_solve(limits.asymptotic_gram(n, kap, t),
+                                         gram.TikhonovConfig(delta=delta, mode="absolute"), labels, extended=True)
+            scale = float(np.abs(closed.values).max())
+            resid = float(np.abs(closed.values - solved.values).max()) / scale if scale else 0.0
+            failure = "error:AlphaResidual"
+        status = "ok" if resid < CLOSED_FORM_RESIDUAL_BOUND else failure
+        return [{**key, "delta": delta, "status": status, "residual": resid}]
 
     lem = cfg["bias_sensitivity"]
     lem_delta = delta_from_config(lem["delta"])
@@ -312,13 +310,9 @@ def run_inverse_check(cfg: dict) -> RunResult:
     cells: list[Cell] = []
     for n, kap, t, dcfg in product(cfg["n_list"], cfg["kappa_list"], cfg["t_list"], delta_list):
         labels = rng.standard_normal(n)
-        for check_name, fn in (("identity", identity_cell), ("alpha", alpha_cell)):
+        for check_name in ("identity", "alpha"):
             key = {"check": check_name, "n": n, "kappa": kap, "t": t, "delta_mode": dcfg.mode}
-            if kap == 0.0:
-                # Degenerate rank-one block: the closed forms reduce to plain
-                # scaled identities, nothing left to validate.
-                fn = lambda key, *_: [{**key, "status": "skipped:degenerate"}]
-            cells.append(Cell(key, partial(with_delta, fn, key, n, kap, t, dcfg, labels)))
+            cells.append(Cell(key, partial(rank_one_cell, key, n, kap, t, dcfg, labels)))
 
     def pascal_cell(key) -> list[dict]:
         zmax = cfg["stencil_max_order"]
@@ -344,10 +338,10 @@ def run_inverse_check(cfg: dict) -> RunResult:
         worst = 0.0
         for z in range(1, 5):
             for p in range(0, z + 1):
-                fnc = lambda pt, p=p: float(pt.coords[0] ** p)
+                fnc = lambda xs, p=p: xs[:, 0] ** p
                 est = calculus.directional_derivative(fnc, Point([0.5]), Direction([1.0]), z, h=0.5)
                 truth = math.factorial(z) if p == z else 0.0
-                worst = max(worst, abs(est.value - truth))
+                worst = max(worst, abs(est - truth))
         return [{**key, "status": "ok", "residual": worst, "detail": "z<=4"}]
 
     for check_name, fn in (("pascal_shift", pascal_cell), ("sigma_identity", sigma_cell),

@@ -24,28 +24,35 @@ from ntkorigin import (
 
 class TestPascalCoefficients:
     def test_order_one(self):
-        assert pascal_coefficients(1).coeffs.tolist() == [1, -1]
+        assert pascal_coefficients(1).tolist() == [-1, 1]
 
     def test_order_two(self):
-        assert pascal_coefficients(2).coeffs.tolist() == [1, -2, 1]
+        assert pascal_coefficients(2).tolist() == [1, -2, 1]
 
     def test_order_three_matches_iterated_differences(self):
-        # Oracle: difference the order-2 row against itself shifted.
+        # Oracle: the order-2 row shifted one point forward, minus itself.
         prev = [1, -2, 1]
-        iterated = [1] + [prev[i + 1] - prev[i] for i in range(2)] + [-prev[-1]]
-        assert pascal_coefficients(3).coeffs.tolist() == [1, -3, 3, -1] == iterated
+        iterated = [a - b for a, b in zip([0] + prev, prev + [0])]
+        assert pascal_coefficients(3).tolist() == [-1, 3, -3, 1] == iterated
 
     def test_leading_coefficient_is_one(self):
         for z in range(0, 17):
-            assert pascal_coefficients(z).coefficient(z) == 1
+            assert pascal_coefficients(z)[z] == 1
+
+    def test_signed_binomial_in_stencil_point_order(self):
+        for z in range(0, 17):
+            row = pascal_coefficients(z)
+            assert row.dtype == np.int64 and row.shape == (z + 1,)
+            for i in range(z + 1):
+                assert row[i] == (-1) ** (z - i) * math.comb(z, i)
 
     @given(st.integers(min_value=1, max_value=16))
     @settings(max_examples=16, deadline=None)
     def test_row_sums_to_zero(self, z):
-        assert pascal_coefficients(z).coeffs.sum() == 0
+        assert pascal_coefficients(z).sum() == 0
 
     def test_signs_alternate(self):
-        c = pascal_coefficients(6).coeffs
+        c = pascal_coefficients(6)
         assert np.all(c[::2] > 0) and np.all(c[1::2] < 0)
 
 
@@ -59,8 +66,8 @@ class TestShiftIdentity:
     def test_far_index_excluded_by_domain(self):
         row = pascal_coefficients(3)
         with pytest.raises(IndexError):
-            pascal_coefficients(2).coefficient(3)
-        assert row.coefficient(3) == 1  # the in-bounds edge itself is fine
+            pascal_coefficients(2)[3]
+        assert row[3] == 1  # the in-bounds edge itself is fine
 
 
 class TestSigmaIdentity:
@@ -88,48 +95,66 @@ class TestSigmaIdentity:
 
 class TestDirectionalDerivative:
     def test_affine_exact_any_step(self):
-        f = lambda p: 2.0 * p.coords[0] - p.coords[1] + 3.0
+        f = lambda xs: 2.0 * xs[:, 0] - xs[:, 1] + 3.0
         for h in (1e-3, 0.1, 2.0):
             est = directional_derivative(f, Point([0.0, 0.0]), Direction([1.0, 1.0]), 1, h=h)
-            assert est.value == pytest.approx(1.0, abs=1e-10)
+            assert est == pytest.approx(1.0, abs=1e-10)
 
     def test_second_difference_of_square(self):
-        f = lambda p: p.coords[0] ** 2
-        est = directional_derivative(f, Point([0.3, 0.0]), Direction([1.0, 0.0]), 2)
-        assert est.value == pytest.approx(2.0, abs=1e-6)
+        f = lambda xs: xs[:, 0] ** 2
+        est = directional_derivative(f, Point([0.3, 0.0]), Direction([1.0, 0.0]), 2, h=1e-3)
+        assert est == pytest.approx(2.0, abs=1e-6)
 
     def test_third_difference_annihilates_square(self):
         # Explicit step: polynomials have zero truncation error, so the only
         # noise is rounding amplified by h^-z, and a small h buys nothing.
-        f = lambda p: p.coords[0] ** 2
+        f = lambda xs: xs[:, 0] ** 2
         est = directional_derivative(f, Point([0.3, 0.0]), Direction([1.0, 0.0]), 3, h=0.1)
-        assert est.value == pytest.approx(0.0, abs=1e-10)
-
-    def test_default_step_rounding_envelope(self):
-        f = lambda p: p.coords[0] ** 2
-        est = directional_derivative(f, Point([0.3, 0.0]), Direction([1.0, 0.0]), 3)
-        eps = np.finfo(float).eps
-        envelope = est.step**-3 * eps * 2**3 * (0.3 + 3 * est.step) ** 2
-        assert abs(est.value) <= envelope
+        assert est == pytest.approx(0.0, abs=1e-10)
 
     def test_monomial_top_order_gives_factorial(self):
         for z in range(1, 5):
             for p in range(0, z + 1):
-                f = lambda pt, p=p: float(pt.coords[0] ** p)
+                f = lambda xs, p=p: xs[:, 0] ** p
                 est = directional_derivative(f, Point([0.5]), Direction([1.0]), z, h=0.5)
                 truth = float(math.factorial(z)) if p == z else 0.0
-                assert est.value == pytest.approx(truth, abs=1e-6)
+                assert est == pytest.approx(truth, abs=1e-6)
 
     def test_step_independence_at_top_order(self):
-        f = lambda p: 4.0 * p.coords[0] ** 2
+        f = lambda xs: 4.0 * xs[:, 0] ** 2
         for h in (1e-4, 1e-2, 1.0):
             est = directional_derivative(f, Point([0.0]), Direction([1.0]), 2, h=h)
-            assert est.value == pytest.approx(8.0, rel=1e-6)
+            assert est == pytest.approx(8.0, rel=1e-6)
 
     def test_nan_propagates_as_error(self):
-        f = lambda p: float("nan")
+        f = lambda xs: np.full(len(xs), np.nan)
+        with pytest.raises(EvaluationError, match="nan"):
+            directional_derivative(f, Point([0.0]), Direction([1.0]), 1, h=0.1)
+
+    def test_one_call_on_the_stencil_rows(self):
+        calls = []
+
+        def f(xs):
+            calls.append(xs.copy())
+            return xs[:, 0] - xs[:, 1]
+
+        x0, v, h = Point([1.0, 2.0]), Direction([0.6, 0.8]), 0.25
+        est = directional_derivative(f, x0, v, 3, h)
+        assert type(est) is float
+        assert len(calls) == 1
+        assert calls[0].shape == (4, 2)
+        for i, row in enumerate(calls[0]):
+            assert np.array_equal(row, x0.coords + i * h * v.coords)
+
+    def test_wrong_value_count_rejected(self):
         with pytest.raises(EvaluationError):
-            directional_derivative(f, Point([0.0]), Direction([1.0]), 1)
+            directional_derivative(lambda xs: np.zeros(2), Point([0.0]), Direction([1.0]), 2, 0.1)
+        with pytest.raises(EvaluationError):
+            directional_derivative(lambda xs: np.zeros((3, 1)), Point([0.0]), Direction([1.0]), 2, 0.1)
+
+    def test_step_is_required(self):
+        with pytest.raises(TypeError):
+            directional_derivative(lambda xs: xs[:, 0], Point([0.0]), Direction([1.0]), 1)
 
 
 class TestFitProfile:

@@ -136,11 +136,11 @@ class TestShiftSet:
 class TestTargets:
     def test_quadratic_value(self):
         g = QuadraticTarget(q=[[1.0, 0.0], [0.0, 2.0]], a=[0.5, 0.0], b=1.0)
-        assert g(Point([1.0, 1.0])) == pytest.approx(1.0 + 2.0 + 0.5 + 1.0)
+        assert g.value(np.array([[1.0, 1.0]]))[0] == pytest.approx(1.0 + 2.0 + 0.5 + 1.0)
 
     def test_linear_constant_case(self):
         g = LinearTarget(a=[0.0, 0.0], b=0.7)
-        assert g(Point([123.0, -456.0])) == 0.7
+        assert g.value(np.array([[123.0, -456.0]]))[0] == 0.7
 
     def test_sinusoidal_bounded(self):
         g = SinusoidalTarget(u=[2.0, -1.0], phase=1.0)

@@ -206,10 +206,12 @@ class TestNtk:
 
 
 class TestKappa:
-    def test_unit_direction_monte_carlo(self):
-        v = Direction([0.6, 0.8])
+    @pytest.mark.parametrize("coords, expected", [([0.6, 0.8], 1.0), ([3.0, 4.0], 25.0)], ids=["unit", "norm5"])
+    def test_unit_direction_monte_carlo(self, coords, expected):
+        # The Monte Carlo kappa integrates at -v, not at -v/|v|, so it is |v|^2.
+        v = Direction(coords)
         est = kappa(v, MonteCarlo(sample_features(2, 10**6, seed=21)))
-        assert abs(est.value - 1.0) <= 4 * est.std_error
+        assert abs(est.value - expected) <= 4 * est.std_error
 
     def test_analytic_homogeneity_exact(self):
         assert kappa(Direction([3.0, 4.0]), ANALYTIC).value == 25.0 * kappa(Direction([0.6, 0.8]), ANALYTIC).value

@@ -14,7 +14,6 @@ from ntkorigin import (
     FeatureSample,
     InvalidInput,
     InvalidRegularization,
-    FeatureSpacePredictor,
     LinearTarget,
     MissingFeatureSample,
     MonteCarlo,
@@ -159,7 +158,7 @@ class TestPredict:
         km = assemble_gram(ts, MonteCarlo(fs))
         alpha = tikhonov_solve(km, TikhonovConfig(delta=1e-8, mode="relative"), ts.labels)
         pw = PointWisePredictor(training=ts, alpha=alpha)
-        fsp = FeatureSpacePredictor(beta=beta_from_alpha(ts, alpha))
+        fsp = beta_from_alpha(ts, alpha)
         rng = np.random.default_rng(21)
         for _ in range(100):
             x = Point(rng.uniform(-3, 3, 2))
@@ -189,7 +188,7 @@ class TestBatchedPredict:
         for pred in (
             PointWisePredictor(training=ts, alpha=analytic),
             PointWisePredictor(training=ts, alpha=sampled),
-            FeatureSpacePredictor(beta=beta_from_alpha(ts, sampled)),
+            beta_from_alpha(ts, sampled),
         ):
             batch = predict(pred, xs)
             assert batch.shape == (m,)
@@ -216,7 +215,7 @@ class TestBatchedPredict:
         alpha = AlphaVector(values=np.ones(ts.n), delta=1.0, mode=MonteCarlo(sample_features(2, 16, seed=4)))
         for pred in (
             PointWisePredictor(training=ts, alpha=alpha),
-            FeatureSpacePredictor(beta=beta_from_alpha(ts, alpha)),
+            beta_from_alpha(ts, alpha),
         ):
             with pytest.raises(DimensionError):
                 predict(pred, np.array([0.1, 0.2]))

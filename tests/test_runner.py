@@ -368,13 +368,16 @@ class TestCli:
     def test_overflowing_delta_fails_its_cells(self):
         # A library caller skips the config rules. A relative delta, kappa *
         # t**2, overflows a float at t=1e200. Each cell computes its own
-        # delta, so those cells give stub rows and the run goes on.
+        # delta under the closed forms' overflow rule, so those cells give
+        # the InvalidInput stub rows the absolute alpha cells give, and the
+        # run goes on.
         cfg = default_config("inverse-check")
         cfg["t_list"] = [1e200]
         res = RUNNERS["inverse-check"](cfg)
         check, mode, status = (res.header.index(col) for col in ("check", "delta_mode", "status"))
         relative = {row[status] for row in res.rows if row[check] in ("identity", "alpha") and row[mode] == "relative"}
-        assert relative == {"error:OverflowError"}
+        assert relative == {"error:InvalidInput"}
+        assert {row[status] for row in res.rows if row[check] == "alpha"} == {"error:InvalidInput"}
         assert all(row[status] == "ok" for row in res.rows if row[check] not in ("identity", "alpha"))
 
     def test_closed_form_residual_past_its_bound_fails_the_row(self, tmp_path):
