@@ -22,16 +22,12 @@ from .errors import (
     NumericalFailure,
 )
 from .geometry import (
-    AugmentedPoint,
     Direction,
     LinearTarget,
-    Point,
     QuadraticTarget,
-    Realization,
     ShiftedTrainingSet,
     SinusoidalTarget,
     TargetFunction,
-    augment,
     shift_set,
 )
 from .kernel import (
@@ -84,7 +80,6 @@ from .calculus import (
 from .mlp import (
     MLPConfig,
     MLPModel,
-    evaluate,
     evaluate_batch,
     init_features,
     init_model,

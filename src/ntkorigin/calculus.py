@@ -17,9 +17,10 @@ rows alternate at fixed i, so the magnitude recurrence binom(z,i)(z-i) =
 z binom(z-1,i) picks up a sign flip.
 
 Both samplers, `directional_derivative` and `fit_profile`, share one
-contract: f is called once, on the (m, d) array whose rows are the sample
-points in order, and returns their m values. A return of another shape or
-with a non-finite entry raises EvaluationError.
+contract. They take the base point as a plain (d,) array. f is called once,
+on the (m, d) array whose rows are the sample points in order, and returns
+their m values. A return of another shape or with a non-finite entry raises
+EvaluationError.
 """
 
 from __future__ import annotations
@@ -31,13 +32,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, EvaluationError, FitFailure, InvalidInput
-from .geometry import AugmentedPoint, Direction, Point
+from .geometry import Direction, _as_vector
+
+
+PASCAL_MAX_ORDER = 66  # binom(67, 33) does not fit int64
 
 
 def pascal_coefficients(z: int) -> np.ndarray:
     """Signed stencil row of order z in stencil-point order: P_i = (-1)^(z-i) binom(z, i), i = 0..z."""
-    if z < 0:
-        raise InvalidInput(f"order must be >= 0, got {z}")
+    if not 0 <= z <= PASCAL_MAX_ORDER:
+        raise InvalidInput(f"order must be from 0 to {PASCAL_MAX_ORDER}, got {z}")
     return np.array([(-1) ** (z - i) * math.comb(z, i) for i in range(z + 1)], dtype=np.int64)
 
 
@@ -53,7 +57,7 @@ def pascal_shift_identity(z: int) -> bool:
 
 
 def sigma_identity_check(
-    x0: AugmentedPoint,
+    x0: np.ndarray,
     v: Direction,
     h: float,
     indicators: Sequence[int],
@@ -61,7 +65,7 @@ def sigma_identity_check(
 ) -> float:
     """Max-abs discrepancy between the two evaluations of the weighted stencil sum.
 
-    Builds x_j = x0 + j*h*[v|0] and compares
+    x0 is an augmented (d+1,) point. Builds x_j = x0 + j*h*[v|0] and compares
 
         sum_j P_j x_j b_j   vs   x_z * sum_j P_j b_j + z*h*[v|0] * sum_{j<z} P'_j b_j
 
@@ -76,9 +80,8 @@ def sigma_identity_check(
     if bits.size != z + 1:
         raise DimensionError(f"need {z + 1} indicator bits, got {bits.size}")
     vhat = v.augmented()
-    if vhat.size != x0.coords.size:
-        raise DimensionError("direction and point dimensions differ")
-    pts = x0.coords[None, :] + np.arange(z + 1)[:, None] * (h * vhat)[None, :]
+    x0 = _as_vector(x0, name="augmented point", size=vhat.size)
+    pts = x0[None, :] + np.arange(z + 1)[:, None] * (h * vhat)[None, :]
     p_row = pascal_coefficients(z).astype(np.float64)
     p_prev = pascal_coefficients(z - 1).astype(np.float64)
     direct = (p_row * bits)[:, None] * pts
@@ -101,7 +104,7 @@ def _sample(f: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.nda
 
 def directional_derivative(
     f: Callable[[np.ndarray], np.ndarray],
-    x0: Point,
+    x0: np.ndarray,
     v: Direction,
     z: int,
     h: float,
@@ -113,11 +116,10 @@ def directional_derivative(
     """
     if z < 1:
         raise InvalidInput(f"order must be >= 1, got {z}")
-    if x0.dim != v.dim:
-        raise DimensionError("point and direction dimensions differ")
+    x0 = _as_vector(x0, name="point", size=v.dim)
     if not h > 0:
         raise InvalidInput(f"step must be positive, got {h}")
-    vals = _sample(f, x0.coords + (np.arange(z + 1) * h)[:, None] * v.coords)
+    vals = _sample(f, x0 + (np.arange(z + 1) * h)[:, None] * v.coords)
     acc = 0.0
     for weight, val in zip(pascal_coefficients(z).astype(np.float64), vals):
         acc += weight * val
@@ -150,7 +152,7 @@ class DegreeClass:
 
 def fit_profile(
     f: Callable[[np.ndarray], np.ndarray],
-    base: Point,
+    base: np.ndarray,
     v: Direction,
     radius: float,
     m: int = 41,
@@ -169,10 +171,9 @@ def fit_profile(
         raise InvalidInput(f"degmax must be >= 2, got {degmax}")
     if m < degmax + 3:
         raise InvalidInput(f"need at least degmax+3={degmax + 3} samples, got {m}")
-    if base.dim != v.dim:
-        raise DimensionError("base point and direction dimensions differ")
+    base = _as_vector(base, name="base point", size=v.dim)
     offsets = np.linspace(-radius, radius, m)
-    vals = _sample(f, base.coords + offsets[:, None] * v.coords)
+    vals = _sample(f, base + offsets[:, None] * v.coords)
     vander = np.vander(offsets / radius, degmax + 1, increasing=True)
     sol, _, rank, _ = np.linalg.lstsq(vander, vals, rcond=None)
     if rank < degmax + 1:

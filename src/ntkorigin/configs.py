@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .calculus import PASCAL_MAX_ORDER
 from .errors import ConfigError
 from .geometry import LinearTarget, QuadraticTarget, SinusoidalTarget, TargetFunction
 from .gram import TikhonovConfig
@@ -274,12 +275,14 @@ RULES = {
     "eval_points_seed": _NATURAL,
     **dict.fromkeys(
         ["d", "n", "threads", "k_features", "kappa_mc_features", "diag_k_features", "kappa_k_features",
-         "profile_points", "stencil_max_order", "sigma_instances", "probes", "pairs_per_dim",
+         "profile_points", "sigma_instances", "probes", "pairs_per_dim",
          "diag_points_per_dim", "kappa_directions", "eval_points"],
         _COUNT),
     **dict.fromkeys(["n_list", "pair_dims", "widths"],
                     ("a list of integers >= 1", lambda v, d: _is_list(v, lambda x: _is_int(x, 1)))),
     "degmax": ("an integer >= 2", lambda v, d: _is_int(v, 2)),
+    "stencil_max_order": (f"an integer from 1 to {PASCAL_MAX_ORDER}",
+                          lambda v, d: _is_int(v, 1) and v <= PASCAL_MAX_ORDER),
     **dict.fromkeys(["n_directions", "equivalence_points", "max_steps"], _NATURAL),
     # The cells square t (inverse-check's relative deltas, gram-limit's error),
     # so a t whose square overflows would fail them one by one.

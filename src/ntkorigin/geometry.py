@@ -1,15 +1,15 @@
-"""Input-space types: points, directions, bias augmentation and shifted training sets.
+"""Input-space types: directions, target functions and shifted training sets.
 
-Data points carry an appended bias coordinate fixed to 1; direction vectors
-augment with 0 instead, so translating a point never changes its bias entry.
-Training sets are built by translating a fixed point realization by -t*v and
-labeling the translated points with a target function.
+A point is a plain (d,) float64 array and a training realization an (n, d)
+one. Kernel code reads points with an appended bias coordinate fixed to 1;
+direction vectors augment with 0 instead, so translating a point never
+changes its bias entry. Training sets are built by translating a realization
+by -t*v and labeling the translated points with a target function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -22,47 +22,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_vector(coords, *, name: str) -> np.ndarray:
+def _as_vector(coords, *, name: str, size: int | None = None) -> np.ndarray:
     a = np.atleast_1d(np.asarray(coords, dtype=np.float64))
-    if a.ndim != 1 or a.size < 1:
-        raise DimensionError(f"{name} must be a 1-D vector, got shape {a.shape}")
+    if a.ndim != 1 or a.size < 1 or (size is not None and a.size != size):
+        raise DimensionError(f"{name} must be a 1-D vector of length {size or '>= 1'}, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidInput(f"{name} contains non-finite entries")
     return a
-
-
-@dataclass(frozen=True, eq=False)
-class Point:
-    """A point of the d-dimensional input space."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _freeze(_as_vector(self.coords, name="point")))
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size
-
-
-@dataclass(frozen=True, eq=False)
-class AugmentedPoint:
-    """A point with its bias coordinate appended; the last entry is exactly 1."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        a = _as_vector(self.coords, name="augmented point")
-        if a.size < 2:
-            raise DimensionError("augmented point needs at least one data coordinate")
-        if a[-1] != 1.0:
-            raise InvalidInput(f"bias coordinate must be exactly 1, got {a[-1]!r}")
-        object.__setattr__(self, "coords", _freeze(a))
-
-    @property
-    def dim(self) -> int:
-        """Dimension of the underlying data point (bias excluded)."""
-        return self.coords.size - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,35 +54,6 @@ class Direction:
     def augmented(self) -> np.ndarray:
         """The direction with a 0 appended in the bias slot."""
         return np.append(self.coords, 0.0)
-
-
-@dataclass(frozen=True, eq=False)
-class Realization:
-    """An ordered finite set of training inputs, all of one dimension."""
-
-    points: tuple[Point, ...]
-
-    def __post_init__(self):
-        pts = tuple(p if isinstance(p, Point) else Point(p) for p in self.points)
-        if len(pts) == 0:
-            raise DimensionError("realization must contain at least one point")
-        d = pts[0].dim
-        for p in pts:
-            if p.dim != d:
-                raise DimensionError(f"mixed dimensions in realization: {p.dim} vs {d}")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
-    @property
-    def dim(self) -> int:
-        return self.points[0].dim
-
-    def matrix(self) -> np.ndarray:
-        """Stack the points into an (n, d) array."""
-        return np.stack([p.coords for p in self.points])
 
 
 class TargetFunction:
@@ -180,11 +117,13 @@ class SinusoidalTarget(TargetFunction):
 class ShiftedTrainingSet:
     """A realization translated by -t*v and labeled by a target after the shift.
 
-    labels[i] = g(x_i - t*v), so the stored labels always refer to the shifted
-    positions. The augmented matrix caches [x_i - t*v | 1] rows for kernel code.
+    `points` is a read-only copy of the (n, d) realization, so a later change
+    to the caller's array does not reach the set. labels[i] = g(x_i - t*v),
+    so the stored labels always refer to the shifted positions. The augmented
+    matrix caches [x_i - t*v | 1] rows for kernel code.
     """
 
-    realization: Realization
+    points: np.ndarray
     direction: Direction
     t: float
     target: TargetFunction
@@ -193,19 +132,24 @@ class ShiftedTrainingSet:
     augmented: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        try:
+            pts = np.array(self.points, dtype=np.float64)
+        except ValueError as exc:  # e.g. rows of mixed lengths
+            raise DimensionError(f"points must form an (n, d) array: {exc}") from exc
+        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != self.direction.dim:
+            raise DimensionError(f"points must be an (n, {self.direction.dim}) array with n >= 1, got {pts.shape}")
+        if not np.all(np.isfinite(pts)):
+            raise InvalidInput("points contain non-finite entries")
         t = float(self.t)
         if t < 0:
             raise InvalidInput(f"shift magnitude must be nonnegative, got {t}")
-        if self.realization.dim != self.direction.dim:
-            raise DimensionError(
-                f"realization dimension {self.realization.dim} != direction dimension {self.direction.dim}"
-            )
-        shifted = self.realization.matrix() - t * self.direction.coords
+        shifted = pts - t * self.direction.coords
         labels = np.asarray(self.target.value(shifted), dtype=np.float64)
-        if labels.shape != (self.realization.n,):
-            raise DimensionError(f"target gave labels of shape {labels.shape} for {self.realization.n} points")
+        if labels.shape != (pts.shape[0],):
+            raise DimensionError(f"target gave labels of shape {labels.shape} for {pts.shape[0]} points")
         if not np.all(np.isfinite(labels)):
             raise InvalidInput("target function produced non-finite labels")
+        object.__setattr__(self, "points", _freeze(pts))
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "labels", _freeze(labels))
         object.__setattr__(self, "shifted", _freeze(shifted))
@@ -213,22 +157,16 @@ class ShiftedTrainingSet:
 
     @property
     def n(self) -> int:
-        return self.realization.n
+        return self.points.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.realization.dim
+        return self.points.shape[1]
 
 
-def augment(p: Point | Sequence[float]) -> AugmentedPoint:
-    """Append the bias coordinate 1 to a point."""
-    pt = p if isinstance(p, Point) else Point(p)
-    return AugmentedPoint(np.append(pt.coords, 1.0))
+def shift_set(points: np.ndarray, v: Direction, t: float, g: TargetFunction) -> ShiftedTrainingSet:
+    """Translate the (n, d) realization by -t*v and label the translated points with g.
 
-
-def shift_set(phi: Realization, v: Direction, t: float, g: TargetFunction) -> ShiftedTrainingSet:
-    """Translate the realization by -t*v and label the translated points with g.
-
-    Order is preserved: row i of the result corresponds to phi.points[i].
+    Order is preserved: row i of the result corresponds to points[i].
     """
-    return ShiftedTrainingSet(realization=phi, direction=v, t=t, target=g)
+    return ShiftedTrainingSet(points=points, direction=v, t=t, target=g)

@@ -15,8 +15,9 @@ with theta the angle between x and y. The closed form is derived, not assumed:
 the test suite gates it against the Monte Carlo estimator before anything else
 relies on it.
 
-`kernel_matrix` evaluates either mode for every pair drawn from two stacks of
-augmented rows and is what gram assembly and the predictors call. `ntk` (one
+Points are plain float64 arrays, their bias entry 1 appended: (d+1,) for one
+and (m, d+1) for a stack. `kernel_matrix` evaluates either mode for every pair
+drawn from two stacks and is what gram assembly and the predictors call. `ntk` (one
 pair, with the Monte Carlo standard error), `diagonal` (k(x, x) over features
 it draws from a seed) and `kappa` integrate one tile of features at a time
 into one K-length vector, which the standard error then reuses.
@@ -33,7 +34,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily; this keeps its import out of the first draw)
 
 from .errors import DimensionError, InvalidInput
-from .geometry import AugmentedPoint, Direction, ShiftedTrainingSet
+from .geometry import Direction, ShiftedTrainingSet
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,23 +95,18 @@ def sample_features(d: int, count: int, seed: int) -> FeatureSample:
     return FeatureSample(weights=rng.standard_normal((count, d + 1)))
 
 
-def _aug_coords(p: AugmentedPoint | np.ndarray) -> np.ndarray:
-    a = p.coords if isinstance(p, AugmentedPoint) else np.asarray(p, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise InvalidInput("augmented vector contains non-finite entries")
-    return a
-
-
-def feature_map(p: AugmentedPoint | np.ndarray, fs: FeatureSample) -> np.ndarray:
+def feature_map(p: np.ndarray, fs: FeatureSample) -> np.ndarray:
     """Per-feature blocks (p * 1_k, <w_k, p> * 1_k), one row of length d+2 per feature.
 
     A block is identically zero whenever its indicator is inactive. The unit
     prefactor convention makes the Monte Carlo kernel the mean over rows of the
     blockwise inner products.
     """
-    a = _aug_coords(p)
+    a = np.asarray(p, dtype=np.float64)
     if a.size != fs.dim + 1:
         raise DimensionError(f"point dim {a.size} != feature dim {fs.dim + 1}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInput("augmented vector contains non-finite entries")
     s = fs.weights @ a
     act = (s >= 0.0).astype(np.float64)
     return np.hstack([a[None, :] * act[:, None], (s * act)[:, None]])
@@ -281,17 +277,17 @@ def _estimate(contribs: np.ndarray) -> KernelEstimate:
     return KernelEstimate(value=float(mean[0]), std_error=float(std / np.sqrt(k)))
 
 
-def ntk(x: AugmentedPoint | np.ndarray, y: AugmentedPoint | np.ndarray, mode: KernelMode) -> KernelEstimate:
+def ntk(x: np.ndarray, y: np.ndarray, mode: KernelMode) -> KernelEstimate:
     """Kernel value for a pair of augmented vectors under the requested mode,
     with the Monte Carlo standard error of the estimate."""
-    xs, ys = _row_pair(_aug_coords(x)[None], _aug_coords(y)[None])
+    xs, ys = _row_pair(np.asarray(x, dtype=np.float64)[None], np.asarray(y, dtype=np.float64)[None])
     if isinstance(mode, MonteCarlo):
         weights = mode.features.weights
         return _estimate(_fill(xs[0], ys[0], np.empty(weights.shape[0]), lambda start, stop: weights[start:stop]))
     return KernelEstimate(value=float(_arc_cosine(xs, ys)[0, 0]))
 
 
-def diagonal(x: AugmentedPoint | np.ndarray, count: int, seed: int) -> KernelEstimate:
+def diagonal(x: np.ndarray, count: int, seed: int) -> KernelEstimate:
     """Monte Carlo k(x, x) over `count` features drawn from `default_rng(seed)`
     in chunks of at most `DIAGONAL_CHUNK` rows.
 
@@ -306,7 +302,7 @@ def diagonal(x: AugmentedPoint | np.ndarray, count: int, seed: int) -> KernelEst
     if count < 1:
         raise InvalidInput(f"feature count must be >= 1, got {count}")
     chunk = DIAGONAL_CHUNK
-    row = _aug_coords(x)[None]
+    row = np.asarray(x, dtype=np.float64)[None]
     x = _row_pair(row, row)[0][0]
     gen = np.random.default_rng(seed)
     contribs = np.empty(min(chunk, count))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, InvalidInput, NaNError, NumericalFailure
-from .geometry import Point, ShiftedTrainingSet
+from .geometry import ShiftedTrainingSet
 from .kernel import FeatureSample, sample_features
 
 
@@ -101,12 +101,10 @@ def init_features(cfg: MLPConfig, d: int) -> FeatureSample:
     return sample_features(d, cfg.width // 2, cfg.seed)
 
 
-def evaluate(model: MLPModel, x: Point) -> float:
-    """Network output (1/sqrt(m)) sum_k a_k relu(<w_k, x_hat>)."""
-    return float(evaluate_batch(model, x.coords[None, :])[0])
-
-
 def evaluate_batch(model: MLPModel, xs: np.ndarray) -> np.ndarray:
+    """Network outputs (1/sqrt(m)) sum_k a_k relu(<w_k, x_hat>) at the rows of an (n, d) array.
+
+    The width is summed in an order that depends on n, so the last bits can differ from one-row calls."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != model.dim:
         raise DimensionError(f"expected (n, {model.dim}) inputs, got {xs.shape}")

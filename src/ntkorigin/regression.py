@@ -4,7 +4,8 @@ predictor representations.
 For a feature direction w the fitted function decomposes into a vector block
 beta1 = sum_i alpha_i x_i 1(<w, x_i> >= 0) and a scalar block
 beta2 = sum_i alpha_i <w, x_i> 1(<w, x_i> >= 0) over the augmented training
-inputs. Their far-shift limits live in `limits`.
+inputs. Their far-shift limits live in `limits`. Both representations are
+evaluated by `predict`, at the rows of a plain (m, d) array of points.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidInput, MissingFeatureSample
-from .geometry import Point, ShiftedTrainingSet
+from .geometry import ShiftedTrainingSet
 from .gram import AlphaVector
 from .kernel import FeatureSample, MonteCarlo, kernel_matrix
 
@@ -84,19 +85,18 @@ class PointWisePredictor:
 Predictor = PointWisePredictor | BetaComponents
 
 
-def predict(pred: Predictor, x: Point | np.ndarray) -> float | np.ndarray:
-    """Evaluate a fitted predictor at a point, or at every row of an (m, d) array.
+def predict(pred: Predictor, xs: np.ndarray) -> np.ndarray:
+    """Evaluate a fitted predictor at every row of an (m, d) array.
 
     A `PointWisePredictor` evaluates its kernel expansion, and `BetaComponents`
     the feature-space form f(x) = mean_k [<beta1_k, phi1_k(x)> + beta2_k phi2_k(x)].
-    A `Point` gives a float and an array gives an (m,) array whose entries
-    equal the per-point values bit for bit. Both forms share the 1/K Monte
-    Carlo normalization, so built from one feature sample they agree up to
-    float reassociation rather than up to sampling noise.
+    The (m,) result equals m one-row calls bit for bit. Both forms share the
+    1/K Monte Carlo normalization, so built from one feature sample they agree
+    up to float reassociation rather than up to sampling noise.
     """
-    xs = x.coords[None, :] if isinstance(x, Point) else np.asarray(x, dtype=np.float64)
+    xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2:
-        raise DimensionError(f"points must be a Point or an (m, d) array, got shape {xs.shape}")
+        raise DimensionError(f"points must be an (m, d) array, got shape {xs.shape}")
     if not np.all(np.isfinite(xs)):
         raise InvalidInput("evaluation points contain non-finite entries")
     xa = np.hstack([xs, np.ones((xs.shape[0], 1))])
@@ -114,4 +114,4 @@ def predict(pred: Predictor, x: Point | np.ndarray) -> float | np.ndarray:
         for i, row in enumerate(xa):
             s = fs.weights @ row
             vals[i] = ((pred.beta1 @ row + pred.beta2 * s) * (s >= 0.0)).mean()
-    return float(vals[0]) if isinstance(x, Point) else vals
+    return vals

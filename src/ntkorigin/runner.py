@@ -29,7 +29,7 @@ import numpy as np
 from . import calculus, gram, kernel, limits, mlp, regression
 from .configs import delta_from_config, overlay_config, target_from_config
 from .errors import BoundaryTooClose, ConfigError
-from .geometry import Direction, Point, Realization, TargetFunction, augment, shift_set
+from .geometry import Direction, TargetFunction, shift_set
 
 
 def _fmt(x) -> str:
@@ -55,12 +55,12 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def realization_from_config(cfg: dict, rng: np.random.Generator) -> Realization:
+def realization_from_config(cfg: dict, rng: np.random.Generator) -> np.ndarray:
+    """The (n, d) training inputs: the config's `points`, or n uniform draws from its box."""
     if cfg["points"] is not None:
-        return Realization(tuple(Point(p) for p in cfg["points"]))
+        return np.array(cfg["points"], dtype=np.float64)
     lo, hi = cfg["box"]
-    draws = rng.uniform(lo, hi, size=(cfg["n"], cfg["d"]))
-    return Realization(tuple(Point(row) for row in draws))
+    return rng.uniform(lo, hi, size=(cfg["n"], cfg["d"]))
 
 
 def evaluation_directions(cfg: dict, rng: np.random.Generator) -> list[tuple[str, Direction, bool]]:
@@ -133,7 +133,7 @@ def _execute(header: list[str], cells: list[Cell], cfg: dict,
     return RunResult(header, rows, sum(rec["status"].startswith("error:") for rec in records))
 
 
-def _scenario(cfg: dict) -> tuple[np.random.Generator, Realization, TargetFunction, Direction]:
+def _scenario(cfg: dict) -> tuple[np.random.Generator, np.ndarray, TargetFunction, Direction]:
     """Generator (after drawing the realization), realization, target and shift direction."""
     rng = np.random.default_rng(cfg["seed"])
     phi = realization_from_config(cfg, rng)
@@ -156,7 +156,7 @@ def run_theorem1(cfg: dict) -> RunResult:
     mode = kernel.MonteCarlo(fs) if mc else kernel.ANALYTIC
     kappa_val = kernel.kappa(v_phi, mode).value
     kap_ana = kernel.kappa(v_phi, kernel.ANALYTIC).value
-    origin = Point(np.zeros(cfg["d"]))
+    origin = np.zeros(cfg["d"])
     radius, m, degmax = cfg["radius"], cfg["profile_points"], cfg["degmax"]
 
     def cell_rows(t: float) -> list[dict]:
@@ -210,7 +210,7 @@ def run_farfield(cfg: dict) -> RunResult:
     m, degmax = cfg["profile_points"], cfg["degmax"]
 
     def cell_rows(name: str, vdir: Direction) -> list[dict]:
-        base = Point(center * vdir.coords)
+        base = center * vdir.coords
         prof = calculus.fit_profile(
             lambda xs: regression.predict(predictor, xs), base, vdir, radius, m, degmax
         )
@@ -326,11 +326,11 @@ def run_inverse_check(cfg: dict) -> RunResult:
         for _ in range(cfg["sigma_instances"]):
             z = int(srng.integers(1, 7))
             d = int(srng.integers(1, 5))
-            x0 = augment(srng.uniform(-3, 3, d))
+            x0 = np.append(srng.uniform(-3, 3, d), 1.0)
             v = Direction(srng.standard_normal(d))
             h = float(srng.uniform(0.05, 2.0))
             bits = srng.integers(0, 2, z + 1)
-            scale = max(1.0, float(np.abs(x0.coords).max()) * (1 + z * abs(h) * v.norm))
+            scale = max(1.0, float(np.abs(x0).max()) * (1 + z * abs(h) * v.norm))
             worst = max(worst, calculus.sigma_identity_check(x0, v, h, bits, z) / scale)
         return [{**key, "status": "ok", "residual": worst, "detail": f"instances={cfg['sigma_instances']}"}]
 
@@ -339,7 +339,7 @@ def run_inverse_check(cfg: dict) -> RunResult:
         for z in range(1, 5):
             for p in range(0, z + 1):
                 fnc = lambda xs, p=p: xs[:, 0] ** p
-                est = calculus.directional_derivative(fnc, Point([0.5]), Direction([1.0]), z, h=0.5)
+                est = calculus.directional_derivative(fnc, np.array([0.5]), Direction([1.0]), z, h=0.5)
                 truth = math.factorial(z) if p == z else 0.0
                 worst = max(worst, abs(est - truth))
         return [{**key, "status": "ok", "residual": worst, "detail": "z<=4"}]
@@ -349,7 +349,7 @@ def run_inverse_check(cfg: dict) -> RunResult:
         key = {"check": check_name}
         cells.append(Cell(key, partial(fn, key)))
 
-    lem_phi = Realization(tuple(Point(p) for p in lem["points"]))
+    lem_points = np.array(lem["points"], dtype=np.float64)
     lem_v = Direction(lem["v_phi"])
     lem_g = target_from_config(lem["target"])
     kap = kernel.kappa(lem_v, kernel.ANALYTIC).value
@@ -359,13 +359,13 @@ def run_inverse_check(cfg: dict) -> RunResult:
 
     def sensitivity_cell(key: dict, t: float) -> list[dict]:
         delta = resolve(lem_delta, kap, t)
-        ctx = limits.closed_form_context(shift_set(lem_phi, lem_v, t, lem_g), kappa=kap, delta=delta)
+        ctx = limits.closed_form_context(shift_set(lem_points, lem_v, t, lem_g), kappa=kap, delta=delta)
         wrng = np.random.default_rng(cfg["seed"] + 20)
         worst = worst_b1 = 0.0
         probes = 0
         measured_active: list[float] = []
         while probes < lem["probes"]:
-            w = wrng.standard_normal(lem_phi.dim + 1)
+            w = wrng.standard_normal(lem_points.shape[1] + 1)
             try:
                 fd, b1_fd = limits.bias_slopes(ctx, w)
             except BoundaryTooClose:
@@ -384,7 +384,7 @@ def run_inverse_check(cfg: dict) -> RunResult:
         return [{**row, "residual": worst}, {**row, "check": "beta1_sensitivity", "residual": worst_b1}]
 
     for t in lem["t_list"]:
-        key = {"check": "beta2_sensitivity", "n": lem_phi.n, "kappa": kap, "t": t, "delta_mode": lem_delta.mode}
+        key = {"check": "beta2_sensitivity", "n": len(lem_points), "kappa": kap, "t": t, "delta_mode": lem_delta.mode}
         cells.append(Cell(key, partial(sensitivity_cell, key, t)))
 
     def scaling_row(ok: list[dict]) -> list[dict]:
@@ -393,7 +393,7 @@ def run_inverse_check(cfg: dict) -> RunResult:
         t0, t1 = sorted(sens_cells)[:2]
         ratio = sens_cells[t0] / sens_cells[t1]
         expected = (t1 / t0) ** 2
-        return [{"check": "beta2_scaling", "n": lem_phi.n, "kappa": kap, "delta_mode": lem_delta.mode,
+        return [{"check": "beta2_scaling", "n": len(lem_points), "kappa": kap, "delta_mode": lem_delta.mode,
                  "status": "ok", "residual": abs(ratio / expected - 1.0), "detail": f"t={t0:g}->{t1:g}"}]
 
     return _execute(INVERSE_CHECK_HEADER, cells, cfg, scaling_row)
@@ -417,8 +417,8 @@ def run_kappa(cfg: dict) -> RunResult:
         prng = np.random.default_rng(seed + 100 + d)
         out = []
         for i in range(cfg["pairs_per_dim"]):
-            x = augment(prng.uniform(-2, 2, d))
-            y = augment(prng.uniform(-2, 2, d))
+            x = np.append(prng.uniform(-2, 2, d), 1.0)
+            y = np.append(prng.uniform(-2, 2, d), 1.0)
             est = kernel.ntk(x, y, kernel.MonteCarlo(fs))
             out.append(oracle_row("pair", d, f"pair{i}", kernel.ntk(x, y, kernel.ANALYTIC).value, est))
         return out
@@ -427,10 +427,10 @@ def run_kappa(cfg: dict) -> RunResult:
         prng = np.random.default_rng(seed + 200 + d)
         out = []
         for i in range(cfg["diag_points_per_dim"]):
-            x = augment(prng.uniform(-2, 2, d))
+            x = np.append(prng.uniform(-2, 2, d), 1.0)
             dseed = seed + 300 + d * 17 + i
             est = kernel.diagonal(x, cfg["diag_k_features"], dseed).value
-            ana = float(x.coords @ x.coords)
+            ana = float(x @ x)
             out.append({"check": "diag", "d": d, "item": f"x{i}", "status": "ok", "analytic": ana, "estimate": est,
                         "abs_diff": abs(est - ana) / ana, "within_4se": abs(est - ana) <= 1e-3 * ana})
         return out
@@ -478,7 +478,8 @@ def run_mlp_compare(cfg: dict) -> RunResult:
     predictor = regression.PointWisePredictor(training=ts, alpha=alpha)
     erng = np.random.default_rng(cfg["eval_points_seed"])
     box = cfg["eval_box"]
-    eval_pts = [Point(erng.uniform(-box, box, d)) for _ in range(cfg["eval_points"])]
+    eval_pts = erng.uniform(-box, box, (cfg["eval_points"], d))
+    f_kernel = regression.predict(predictor, eval_pts)
 
     def width_cells(width) -> list[dict]:
         mc = mlp.MLPConfig(width=width, steps=cfg["max_steps"], seed=cfg["seed"])
@@ -491,9 +492,10 @@ def run_mlp_compare(cfg: dict) -> RunResult:
         out = [{"width": width, "item": "train", "status": "ok", "steps": len(trace) - 1,
                 "loss_initial": trace[0], "loss_final": trace[-1],
                 "loss_ratio": trace[-1] / trace[0] if trace[0] else 0.0, "displacement": disp}]
-        for j, pt in enumerate(eval_pts):
-            fn = mlp.evaluate(model, pt)
-            fk = regression.predict(predictor, pt)
+        for j, fk in enumerate(f_kernel.tolist()):
+            # One row per call: a batched product sums the width in another
+            # order, so its outputs can differ in their last bits.
+            fn = float(mlp.evaluate_batch(model, eval_pts[j : j + 1])[0])
             tol = max(0.1 * abs(fk), 0.05)
             out.append({"width": width, "item": f"eval{j}", "status": "ok",
                         "f_net": fn, "f_kernel": fk, "abs_dev": abs(fn - fk), "tol": tol})

@@ -1,4 +1,4 @@
-"""Bias augmentation, shift construction and target labeling."""
+"""Direction augmentation, shift construction and target labeling."""
 
 import numpy as np
 import pytest
@@ -11,36 +11,12 @@ from ntkorigin import (
     Direction,
     InvalidInput,
     LinearTarget,
-    Point,
     QuadraticTarget,
-    Realization,
     SinusoidalTarget,
-    augment,
     shift_set,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
-
-
-class TestAugment:
-    def test_appends_one(self):
-        assert augment(Point([1.0, 2.0])).coords.tolist() == [1.0, 2.0, 1.0]
-
-    def test_zero_point(self):
-        assert augment(Point([0.0])).coords.tolist() == [0.0, 1.0]
-
-    def test_negative_coords(self):
-        assert augment(Point([-99.0, 2.0])).coords.tolist() == [-99.0, 2.0, 1.0]
-
-    @given(st.lists(finite, min_size=1, max_size=6))
-    @settings(max_examples=50, deadline=None)
-    def test_roundtrip_identity(self, coords):
-        p = Point(coords)
-        assert np.array_equal(augment(p).coords[:-1], p.coords)
-
-    def test_rejects_nan(self):
-        with pytest.raises(InvalidInput):
-            Point([np.nan, 1.0])
 
 
 class TestAugmentDirection:
@@ -58,13 +34,9 @@ class TestAugmentDirection:
 class TestValueTypes:
     @staticmethod
     def _values():
-        phi = Realization((Point([1.0, 2.0]), Point([0.5, -1.0])))
-        ts = shift_set(phi, Direction([1.0, 0.0]), 3.0, SinusoidalTarget(u=[1.0, 0.0]))
+        ts = shift_set(np.array([[1.0, 2.0], [0.5, -1.0]]), Direction([1.0, 0.0]), 3.0, SinusoidalTarget(u=[1.0, 0.0]))
         return [
-            Point([1.0, 2.0]),
-            augment(Point([1.0, 2.0])),
             Direction([1.0, 0.0]),
-            phi,
             LinearTarget(a=[1.0, 0.0]),
             QuadraticTarget(q=np.eye(2), a=[1.0, 0.0]),
             SinusoidalTarget(u=[1.0, 0.0]),
@@ -81,36 +53,31 @@ class TestValueTypes:
 
 class TestShiftSet:
     def test_large_shift_with_linear_target(self):
-        phi = Realization((Point([1.0, 2.0]),))
         g = LinearTarget(a=[1.0, 0.0])
-        ts = shift_set(phi, Direction([1.0, 0.0]), 100.0, g)
+        ts = shift_set(np.array([[1.0, 2.0]]), Direction([1.0, 0.0]), 100.0, g)
         assert ts.shifted.tolist() == [[-99.0, 2.0]]
         assert ts.labels.tolist() == [-99.0]
 
     def test_zero_shift_is_identity(self):
-        pts = [Point([0.3, -0.4]), Point([0.1, 0.9])]
-        phi = Realization(tuple(pts))
+        pts = np.array([[0.3, -0.4], [0.1, 0.9]])
         g = SinusoidalTarget(u=[1.0, 2.0], phase=0.5)
-        ts = shift_set(phi, Direction([0.0, 1.0]), 0.0, g)
-        assert np.array_equal(ts.shifted, phi.matrix())
-        assert np.array_equal(ts.labels, g.value(phi.matrix()))
+        ts = shift_set(pts, Direction([0.0, 1.0]), 0.0, g)
+        assert np.array_equal(ts.shifted, pts)
+        assert np.array_equal(ts.labels, g.value(pts))
 
     def test_sinusoidal_labels_after_shift(self):
-        phi = Realization((Point([0.0, 0.0]), Point([1.0, 1.0])))
         g = SinusoidalTarget(u=[1.0, 0.0])
-        ts = shift_set(phi, Direction([0.0, 1.0]), 10.0, g)
+        ts = shift_set(np.array([[0.0, 0.0], [1.0, 1.0]]), Direction([0.0, 1.0]), 10.0, g)
         assert ts.shifted.tolist() == [[0.0, -10.0], [1.0, -9.0]]
         np.testing.assert_allclose(ts.labels, [np.sin(0.0), np.sin(1.0)], rtol=0, atol=0)
 
     def test_negative_shift_rejected(self):
-        phi = Realization((Point([0.0]),))
         with pytest.raises(InvalidInput):
-            shift_set(phi, Direction([1.0]), -1.0, LinearTarget(a=[1.0]))
+            shift_set(np.array([[0.0]]), Direction([1.0]), -1.0, LinearTarget(a=[1.0]))
 
     def test_dimension_mismatch(self):
-        phi = Realization((Point([0.0, 0.0]),))
         with pytest.raises(DimensionError):
-            shift_set(phi, Direction([1.0]), 1.0, LinearTarget(a=[1.0]))
+            shift_set(np.array([[0.0, 0.0]]), Direction([1.0]), 1.0, LinearTarget(a=[1.0]))
 
     @given(
         st.lists(st.lists(finite, min_size=2, max_size=2), min_size=2, max_size=5),
@@ -118,8 +85,8 @@ class TestShiftSet:
     )
     @settings(max_examples=40, deadline=None)
     def test_commutes_with_permutation(self, rows, t):
-        phi = Realization(tuple(Point(r) for r in rows))
-        rev = Realization(tuple(Point(r) for r in reversed(rows)))
+        phi = np.array(rows)
+        rev = phi[::-1]
         g = SinusoidalTarget(u=[0.7, -0.3], phase=0.2)
         v = Direction([0.6, 0.8])
         a = shift_set(phi, v, t, g)
@@ -128,8 +95,7 @@ class TestShiftSet:
         assert np.array_equal(a.shifted[::-1], b.shifted)
 
     def test_augmented_rows_carry_unit_bias(self):
-        phi = Realization((Point([5.0, -3.0]),))
-        ts = shift_set(phi, Direction([1.0, 1.0]), 2.0, LinearTarget(a=[0.0, 0.0], b=1.0))
+        ts = shift_set(np.array([[5.0, -3.0]]), Direction([1.0, 1.0]), 2.0, LinearTarget(a=[0.0, 0.0], b=1.0))
         assert ts.augmented[0].tolist() == [3.0, -5.0, 1.0]
 
 
@@ -149,18 +115,35 @@ class TestTargets:
 
 
 class TestRealization:
+    """The (n, d) array `shift_set` reads as the training realization."""
+
+    @staticmethod
+    def _shift(points):
+        return shift_set(points, Direction([1.0, 0.0]), 2.0, LinearTarget(a=[1.0, 0.0]))
+
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):
-            Realization(())
+            self._shift(np.empty((0, 2)))
 
     def test_mixed_dims_rejected(self):
         with pytest.raises(DimensionError):
-            Realization((Point([1.0]), Point([1.0, 2.0])))
+            self._shift([[1.0, 2.0], [1.0, 2.0, 3.0]])
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 2, 1), (1, 0)], ids=["one-point", "three-axes", "no-coordinates"])
+    def test_not_an_n_by_d_array_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            self._shift(np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(InvalidInput):
+            self._shift(np.array([[bad, 1.0]]))
 
     def test_point_storage_is_read_only(self):
-        phi = Realization((Point([1.0, 2.0]),))
+        pts = np.array([[1.0, 2.0]])
+        ts = self._shift(pts)
         with pytest.raises(ValueError):
-            phi.points[0].coords[0] = 5.0
-        fresh = phi.matrix()
-        fresh[0, 0] = 5.0  # matrix() hands out a writable copy
-        assert phi.points[0].coords[0] == 1.0
+            ts.points[0, 0] = 5.0
+        pts[0, 0] = 5.0  # the caller's array stays writable and is not shared
+        assert ts.points.tolist() == [[1.0, 2.0]]
+        assert ts.shifted.tolist() == [[-1.0, 2.0]]

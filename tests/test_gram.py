@@ -21,8 +21,6 @@ from ntkorigin import (
     InvalidRegularization,
     MonteCarlo,
     NumericalFailure,
-    Point,
-    Realization,
     SinusoidalTarget,
     LinearTarget,
     TikhonovConfig,
@@ -45,14 +43,14 @@ def _grid_delta(kappa, t):
 
 class TestAssembleGram:
     def test_single_origin_point(self):
-        phi = Realization((Point([0.0]),))
+        phi = np.array([[0.0]])
         ts = shift_set(phi, Direction([1.0]), 0.0, LinearTarget(a=[0.0], b=1.0))
         km = assemble_gram(ts, ANALYTIC)
         assert km.entries[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_exact_symmetry_and_ntk_consistency(self):
         rng = np.random.default_rng(2)
-        phi = Realization(tuple(Point(r) for r in rng.uniform(-1, 1, (5, 3))))
+        phi = rng.uniform(-1, 1, (5, 3))
         ts = shift_set(phi, Direction([1.0, 0.0, 0.0]), 7.0, SinusoidalTarget(u=[1.0, 1.0, 0.0]))
         fs = sample_features(3, 2000, seed=6)
         for mode in (ANALYTIC, MonteCarlo(fs)):
@@ -63,14 +61,14 @@ class TestAssembleGram:
                     assert km.entries[i, j] == ntk(ts.augmented[i], ts.augmented[j], mode).value
 
     def test_duplicate_points_duplicate_rows(self):
-        phi = Realization((Point([0.5, 0.5]), Point([0.5, 0.5]), Point([-1.0, 0.2])))
+        phi = np.array([[0.5, 0.5], [0.5, 0.5], [-1.0, 0.2]])
         ts = shift_set(phi, Direction([0.0, 1.0]), 3.0, SinusoidalTarget(u=[1.0, 0.0]))
         km = assemble_gram(ts, ANALYTIC)
         assert np.array_equal(km.entries[0], km.entries[1])
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(3)
-        phi = Realization(tuple(Point(r) for r in rng.uniform(-1, 1, (8, 2))))
+        phi = rng.uniform(-1, 1, (8, 2))
         ts = shift_set(phi, Direction([0.8, 0.6]), 100.0, SinusoidalTarget(u=[1.0, 2.0]))
         km = assemble_gram(ts, ANALYTIC)
         trace = float(np.trace(km.entries))
@@ -163,7 +161,7 @@ class TestTikhonovSolve:
 
     def test_residual_bound_enforced(self):
         rng = np.random.default_rng(1)
-        phi = Realization(tuple(Point(r) for r in rng.uniform(-1, 1, (6, 2))))
+        phi = rng.uniform(-1, 1, (6, 2))
         ts = shift_set(phi, Direction([0.8, 0.6]), 1000.0, SinusoidalTarget(u=[1.0, -1.0]))
         km = assemble_gram(ts, ANALYTIC)
         alpha = tikhonov_solve(km, TikhonovConfig(delta=1e-8, mode="relative"), ts.labels)
@@ -172,7 +170,7 @@ class TestTikhonovSolve:
     @pytest.mark.parametrize("sampled", [False, True], ids=["analytic", "mc"])
     def test_alpha_carries_the_mode_of_its_gram(self, sampled):
         rng = np.random.default_rng(4)
-        phi = Realization(tuple(Point(r) for r in rng.uniform(-1, 1, (4, 2))))
+        phi = rng.uniform(-1, 1, (4, 2))
         ts = shift_set(phi, Direction([0.8, 0.6]), 10.0, SinusoidalTarget(u=[1.0, -1.0]))
         mode = MonteCarlo(sample_features(2, 500, seed=8)) if sampled else ANALYTIC
         km = assemble_gram(ts, mode)
@@ -405,7 +403,7 @@ class TestAsymptoticAlpha:
 class TestGramLimit:
     def test_entry_error_decays_like_one_over_t(self):
         rng = np.random.default_rng(11)
-        phi = Realization(tuple(Point(r) for r in rng.uniform(-1, 1, (8, 2))))
+        phi = rng.uniform(-1, 1, (8, 2))
         v = Direction([0.8, 0.6])
         g = SinusoidalTarget(u=[1.3, -0.7], phase=0.4)
         kap = v.norm**2

@@ -21,11 +21,8 @@ from ntkorigin import (
     FeatureSample,
     InvalidInput,
     MonteCarlo,
-    Point,
-    Realization,
     SinusoidalTarget,
     agnosticism_rate,
-    augment,
     closed_form_context,
     diagonal,
     feature_map,
@@ -35,6 +32,11 @@ from ntkorigin import (
     sample_features,
     shift_set,
 )
+
+
+def _aug(x) -> np.ndarray:
+    """The data point x with its bias coordinate 1 appended."""
+    return np.append(x, 1.0)
 
 
 class TestSampleFeatures:
@@ -73,7 +75,7 @@ class TestIndicator:
         assert ntk(p, p, _one_feature([1.0, 0.0])).value == 1.0
 
     def test_negative(self):
-        p = augment(Point([5.0, 5.0]))
+        p = _aug([5.0, 5.0])
         assert ntk(p, p, _one_feature([-1.0, 0.0, 0.0])).value == 0.0
 
 
@@ -82,7 +84,7 @@ class TestLimitIndicator:
 
     @staticmethod
     def _context(v):
-        ts = shift_set(Realization((Point([0.3, -0.2]),)), v, 10.0, SinusoidalTarget(u=[1.0, 0.0]))
+        ts = shift_set(np.array([[0.3, -0.2]]), v, 10.0, SinusoidalTarget(u=[1.0, 0.0]))
         return closed_form_context(ts, kappa=v.norm**2, delta=1.0)
 
     def test_active(self):
@@ -112,7 +114,7 @@ class TestFeatureMap:
 
     def test_origin_keeps_only_bias(self):
         fs = sample_features(2, 64, seed=3)
-        origin = augment(Point([0.0, 0.0]))
+        origin = _aug([0.0, 0.0])
         fm = feature_map(origin, fs)
         active = fs.weights[:, -1] >= 0
         assert np.array_equal(fm[active, 2], np.ones(active.sum()))
@@ -122,7 +124,7 @@ class TestFeatureMap:
 
 class TestNtk:
     def test_origin_value_one(self):
-        x = augment(Point([0.0]))
+        x = _aug([0.0])
         assert ntk(x, x, ANALYTIC).value == pytest.approx(1.0, abs=1e-15)
         mc = ntk(x, x, MonteCarlo(sample_features(1, 10**6, seed=2)))
         assert abs(mc.value - 1.0) <= 4 * mc.std_error + 1e-12
@@ -138,17 +140,17 @@ class TestNtk:
     def test_diagonal_is_norm_plus_one(self):
         rng = np.random.default_rng(9)
         for d in (1, 2, 5):
-            p = Point(rng.uniform(-2, 2, d))
-            x = augment(p)
-            expected = float(p.coords @ p.coords) + 1.0
+            p = rng.uniform(-2, 2, d)
+            x = _aug(p)
+            expected = float(p @ p) + 1.0
             assert ntk(x, x, ANALYTIC).value == pytest.approx(expected, rel=1e-14)
 
     def test_symmetry_bitwise(self):
         rng = np.random.default_rng(4)
         fs = sample_features(3, 256, seed=11)
         for _ in range(50):
-            x = augment(Point(rng.standard_normal(3)))
-            y = augment(Point(rng.standard_normal(3)))
+            x = _aug(rng.standard_normal(3))
+            y = _aug(rng.standard_normal(3))
             assert ntk(x, y, ANALYTIC).value == ntk(y, x, ANALYTIC).value
             assert ntk(x, y, MonteCarlo(fs)).value == ntk(y, x, MonteCarlo(fs)).value
 
@@ -159,16 +161,16 @@ class TestNtk:
         for _ in range(20):
             a = rng.standard_normal(2)
             b = rng.standard_normal(2)
-            before = ntk(augment(Point(a)), augment(Point(b)), ANALYTIC).value
-            after = ntk(augment(Point(rot @ a)), augment(Point(rot @ b)), ANALYTIC).value
+            before = ntk(_aug(a), _aug(b), ANALYTIC).value
+            after = ntk(_aug(rot @ a), _aug(rot @ b), ANALYTIC).value
             assert after == pytest.approx(before, abs=1e-12 * (1 + abs(before)))
 
     def test_not_translation_invariant(self):
-        x = Point([0.0, 0.0])
-        y = Point([1.0, 0.0])
+        x = np.array([0.0, 0.0])
+        y = np.array([1.0, 0.0])
         c = np.array([5.0, 0.0])
-        base = ntk(augment(x), augment(y), ANALYTIC).value
-        moved = ntk(augment(Point(x.coords + c)), augment(Point(y.coords + c)), ANALYTIC).value
+        base = ntk(_aug(x), _aug(y), ANALYTIC).value
+        moved = ntk(_aug(x + c), _aug(y + c), ANALYTIC).value
         assert abs(moved - base) > 0.1
 
     def test_mc_matches_analytic_within_4se(self):
@@ -178,8 +180,8 @@ class TestNtk:
             fs = sample_features(d, 2 * 10**5, seed=100 + d)
             rng = np.random.default_rng(200 + d)
             for _ in range(20):
-                x = augment(Point(rng.uniform(-2, 2, d)))
-                y = augment(Point(rng.uniform(-2, 2, d)))
+                x = _aug(rng.uniform(-2, 2, d))
+                y = _aug(rng.uniform(-2, 2, d))
                 est = ntk(x, y, MonteCarlo(fs))
                 total += 1
                 hits += abs(est.value - ntk(x, y, ANALYTIC).value) <= 4 * est.std_error
@@ -192,8 +194,8 @@ class TestNtk:
         for d in (1, 2, 4):
             fs = sample_features(d, 512, seed=50 + d)
             for _ in range(10):
-                x = augment(Point(rng.standard_normal(d)))
-                y = augment(Point(rng.standard_normal(d)))
+                x = _aug(rng.standard_normal(d))
+                y = _aug(rng.standard_normal(d))
                 direct = ntk(x, y, MonteCarlo(fs)).value
                 via_map = float(
                     np.einsum("kj,kj->k", feature_map(x, fs), feature_map(y, fs)).mean()
@@ -444,7 +446,7 @@ class TestStreamedDiagonal:
         spare=st.integers(0, 5),
     )
     def test_one_chunk_equals_ntk_bit_for_bit(self, seed, d, k, spare):
-        x = augment(np.random.default_rng(seed).uniform(-2.0, 2.0, d))
+        x = _aug(np.random.default_rng(seed).uniform(-2.0, 2.0, d))
         want = ntk(x, x, MonteCarlo(sample_features(d, k, seed))).value
         with mock.patch.object(kernel, "DIAGONAL_CHUNK", k + spare):
             assert diagonal(x, k, seed).value == want
@@ -462,13 +464,13 @@ class TestStreamedDiagonal:
     )
     def test_chunks_equal_reference_loop_bit_for_bit(self, seed, d, sizes):
         k, chunk = sizes
-        x = augment(np.random.default_rng(seed).uniform(-2.0, 2.0, d))
+        x = _aug(np.random.default_rng(seed).uniform(-2.0, 2.0, d))
         with mock.patch.object(kernel, "DIAGONAL_CHUNK", chunk):
-            assert diagonal(x, k, seed).value == _reference_diagonal(x.coords, k, chunk, seed)
+            assert diagonal(x, k, seed).value == _reference_diagonal(x, k, chunk, seed)
 
     def test_rejects_empty_count(self):
         with pytest.raises(InvalidInput, match="feature count must be >= 1, got 0"):
-            diagonal(augment([0.5]), 0, seed=1)
+            diagonal(_aug([0.5]), 0, seed=1)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), k=several_tiles)
@@ -483,7 +485,7 @@ class TestStreamedDiagonal:
     @pytest.mark.parametrize("k, chunk", [(2, 1), (2500, 1000), (3 * TILE + 5, TILE)])
     def test_chunked_standard_error_matches_one_chunk(self, monkeypatch, k, chunk):
         # Same draws either way; only the order of the sums differs.
-        x = augment([0.7, -1.2])
+        x = _aug([0.7, -1.2])
         whole = diagonal(x, k, seed=8)
         monkeypatch.setattr(kernel, "DIAGONAL_CHUNK", chunk)
         chunked = diagonal(x, k, seed=8)
@@ -577,7 +579,7 @@ class TestTiledEstimates:
            k=several_tiles)
     def test_agnosticism_rate_equals_one_shot_mean_bit_for_bit(self, seed, d, n, t, k):
         rng = np.random.default_rng(seed)
-        phi = Realization(tuple(Point(row) for row in rng.uniform(-1.0, 1.0, (n, d))))
+        phi = rng.uniform(-1.0, 1.0, (n, d))
         ts = shift_set(phi, Direction(rng.standard_normal(d)), t, SinusoidalTarget(u=np.ones(d)))
         fs = sample_features(d, k, seed)
         assert _same_bits(agnosticism_rate(ts, fs), _reference_agnosticism_rate(ts, fs))
@@ -605,7 +607,7 @@ class TestDiagonalMemory:
         # weight columns with its mask are reused.
         d, chunk = 5, 200_000
         monkeypatch.setattr(kernel, "DIAGONAL_CHUNK", chunk)
-        x = augment(np.random.default_rng(3).uniform(-2.0, 2.0, d))
+        x = _aug(np.random.default_rng(3).uniform(-2.0, 2.0, d))
         peak, _ = traced_peak(lambda: diagonal(x, 2 * chunk + 1, seed=3))
         assert peak <= 8 * chunk + tile_bytes(d + 2) + SLACK
 
@@ -624,7 +626,7 @@ class TestEstimateMemory:
         # pre-activations share the buffer of its mask.
         k = 200_000
         fs = sample_features(2, k, seed=6)
-        x, y = augment([0.3, -1.2]), augment([1.5, 0.4])
+        x, y = _aug([0.3, -1.2]), _aug([1.5, 0.4])
         peak, _ = traced_peak(lambda: ntk(x, y, MonteCarlo(fs)))
         assert peak <= 8 * k + tile_bytes(2) + SLACK
 
@@ -640,7 +642,7 @@ class TestAgnosticismRate:
     @staticmethod
     def _setup(t, k=10**5):
         rng = np.random.default_rng(11)
-        phi = Realization(tuple(Point(row) for row in rng.uniform(-1, 1, (8, 2))))
+        phi = rng.uniform(-1, 1, (8, 2))
         v = Direction([0.8, 0.6])
         ts = shift_set(phi, v, t, SinusoidalTarget(u=[1.3, -0.7], phase=0.4))
         return ts, sample_features(2, k, seed=5)
@@ -657,6 +659,6 @@ class TestAgnosticismRate:
 
     def test_zero_shift_rejected(self):
         ts, fs = self._setup(100.0)
-        unshifted = shift_set(ts.realization, ts.direction, 0.0, SinusoidalTarget(u=[1.0, 0.0]))
+        unshifted = shift_set(ts.points, ts.direction, 0.0, SinusoidalTarget(u=[1.0, 0.0]))
         with pytest.raises(InvalidInput):
             agnosticism_rate(unshifted, fs)

@@ -19,13 +19,10 @@ from ntkorigin import (
     MonteCarlo,
     NaNError,
     NumericalFailure,
-    Point,
     PointWisePredictor,
-    Realization,
     SinusoidalTarget,
     TikhonovConfig,
     assemble_gram,
-    evaluate,
     evaluate_batch,
     init_features,
     init_model,
@@ -58,10 +55,9 @@ class TestInit:
     def test_single_neuron_form(self):
         cfg = MLPConfig(width=1, seed=2)
         model = init_model(cfg, d=1)
-        x = Point([0.7])
         w = model.hidden[0]
         expected = model.output[0] * max(0.0, w[0] * 0.7 + w[1])
-        assert evaluate(model, x) == pytest.approx(expected, rel=1e-15)
+        assert evaluate_batch(model, np.array([[0.7]]))[0] == pytest.approx(expected, rel=1e-15)
 
     def test_initial_function_is_exactly_zero_for_even_width(self):
         # Paired signs cancel every activation, so the mean over seeds is zero
@@ -81,22 +77,22 @@ class TestInit:
 class TestEvaluate:
     def test_zero_output_weights(self):
         model = MLPModel(hidden=np.ones((4, 3)), output=np.zeros(4))
-        assert evaluate(model, Point([5.0, -2.0])) == 0.0
+        assert evaluate_batch(model, np.array([[5.0, -2.0]]))[0] == 0.0
 
     def test_single_neuron_by_hand(self):
         model = MLPModel(hidden=np.array([[1.0, 0.0]]), output=np.array([1.0]))
-        assert evaluate(model, Point([2.0])) == pytest.approx(2.0)
+        assert evaluate_batch(model, np.array([[2.0]]))[0] == pytest.approx(2.0)
 
     def test_all_preactivations_negative(self):
         model = MLPModel(hidden=np.array([[0.0, -1.0], [0.0, -2.0]]), output=np.array([1.0, 1.0]))
-        assert evaluate(model, Point([3.0])) == 0.0
+        assert evaluate_batch(model, np.array([[3.0]]))[0] == 0.0
 
 
 class TestTrain:
     @staticmethod
     def _task(n=1, t=10.0, seed=11):
         rng = np.random.default_rng(seed)
-        phi = Realization(tuple(Point(r) for r in rng.uniform(-1, 1, (n, 2))))
+        phi = rng.uniform(-1, 1, (n, 2))
         v = Direction([0.8, 0.6])
         g = SinusoidalTarget(u=[1.3, -0.7], phase=0.4)
         return shift_set(phi, v, t, g)
@@ -119,8 +115,7 @@ class TestTrain:
         assert np.all(np.diff(losses[10:]) <= 0)
 
     def test_zero_labels_small_init_monotone(self):
-        phi = Realization((Point([0.5, 0.2]), Point([-0.3, 0.1])))
-        ts = shift_set(phi, Direction([1.0, 0.0]), 1.0, LinearTarget(a=[0.0, 0.0], b=0.0))
+        ts = shift_set(np.array([[0.5, 0.2], [-0.3, 0.1]]), Direction([1.0, 0.0]), 1.0, LinearTarget(a=[0.0, 0.0], b=0.0))
         rng = np.random.default_rng(7)
         model = MLPModel(hidden=rng.standard_normal((32, 3)), output=0.01 * rng.standard_normal(32))
         cfg = MLPConfig(width=32, steps=200, seed=7)
@@ -143,8 +138,7 @@ class TestTrain:
     def test_all_dead_init_names_the_cause(self):
         # The single hidden unit of seed 0 is inactive on the single input,
         # so the default learning rate has a zero gram diagonal to divide by.
-        phi = Realization((Point([0.5]),))
-        ts = shift_set(phi, Direction([1.0]), 0.0, LinearTarget(a=[1.0], b=0.0))
+        ts = shift_set(np.array([[0.5]]), Direction([1.0]), 0.0, LinearTarget(a=[1.0], b=0.0))
         cfg = MLPConfig(width=1, steps=10, seed=0)
         model = init_model(cfg, d=1)
         with pytest.raises(NumericalFailure, match="no hidden unit is active"):
@@ -255,7 +249,7 @@ _RUNS = dict(
 def _run(width, n, d, seed, lr):
     """(model, training set, config) of one drawn run of 30 steps."""
     rng = np.random.default_rng(seed)
-    phi = Realization(tuple(Point(r) for r in rng.uniform(-1, 1, (n, d))))
+    phi = rng.uniform(-1, 1, (n, d))
     g = SinusoidalTarget(u=rng.standard_normal(d), phase=0.4)
     ts = shift_set(phi, Direction(rng.standard_normal(d)), float(rng.uniform(0.5, 10.0)), g)
     cfg = MLPConfig(width=width, steps=30, lr=lr, seed=seed)
@@ -386,9 +380,9 @@ class TestLazyRegime:
         pred = PointWisePredictor(training=ts, alpha=alpha)
         rng = np.random.default_rng(7)
         for _ in range(5):
-            x = Point(rng.uniform(-0.5, 0.5, 2))
-            fk = predict(pred, x)
-            fn = evaluate(trained, x)
+            x = rng.uniform(-0.5, 0.5, (1, 2))
+            fk = predict(pred, x)[0]
+            fn = evaluate_batch(trained, x)[0]
             assert abs(fn - fk) <= max(0.1 * abs(fk), 0.05)
 
     @pytest.mark.xfail(
@@ -421,12 +415,12 @@ class TestLazyRegime:
         coeff = evecs @ (filt * (evecs.T @ ts.labels))
         rng = np.random.default_rng(7)
         for _ in range(5):
-            x = Point(rng.uniform(-0.5, 0.5, 2))
-            fn = evaluate(trained, x)
-            row = np.array([float(np.mean(((np.append(x.coords, 1.0) @ fs.weights.T) >= 0)
+            x = rng.uniform(-0.5, 0.5, 2)
+            fn = evaluate_batch(trained, x[None])[0]
+            row = np.array([float(np.mean(((np.append(x, 1.0) @ fs.weights.T) >= 0)
                                            * ((ts.augmented[i] @ fs.weights.T) >= 0)
-                                           * (np.dot(np.append(x.coords, 1.0), ts.augmented[i])
-                                              + (np.append(x.coords, 1.0) @ fs.weights.T)
+                                           * (np.dot(np.append(x, 1.0), ts.augmented[i])
+                                              + (np.append(x, 1.0) @ fs.weights.T)
                                               * (ts.augmented[i] @ fs.weights.T))))
                             for i in range(ts.n)])
             fk = float(row @ coeff)

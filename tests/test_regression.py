@@ -17,9 +17,7 @@ from ntkorigin import (
     LinearTarget,
     MissingFeatureSample,
     MonteCarlo,
-    Point,
     PointWisePredictor,
-    Realization,
     SinusoidalTarget,
     TikhonovConfig,
     assemble_gram,
@@ -38,7 +36,7 @@ finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
 def _training_set(seed=3, n=4, d=2, t=100.0):
     rng = np.random.default_rng(seed)
-    phi = Realization(tuple(Point(r) for r in rng.uniform(-1, 1, (n, d))))
+    phi = rng.uniform(-1, 1, (n, d))
     v = Direction([0.6, -0.8])
     g = SinusoidalTarget(u=[0.9, 0.4], phase=0.1)
     return shift_set(phi, v, t, g), phi, v, g
@@ -53,8 +51,7 @@ class TestBetaFromAlpha:
         assert np.array_equal(beta.beta2, np.zeros(16))
 
     def test_single_point_single_feature(self):
-        phi = Realization((Point([1.0, 2.0]),))
-        ts = shift_set(phi, Direction([1.0, 0.0]), 0.0, LinearTarget(a=[1.0, 0.0]))
+        ts = shift_set(np.array([[1.0, 2.0]]), Direction([1.0, 0.0]), 0.0, LinearTarget(a=[1.0, 0.0]))
         w = np.array([[0.5, 0.5, 0.5]])  # active on [1, 2, 1]
         fs = FeatureSample(weights=w)
         a = 0.7
@@ -63,8 +60,7 @@ class TestBetaFromAlpha:
         assert beta.beta2[0] == pytest.approx(a * 2.0, rel=1e-15)
 
     def test_inactive_feature_zero_block(self):
-        phi = Realization((Point([1.0, 2.0]),))
-        ts = shift_set(phi, Direction([1.0, 0.0]), 0.0, LinearTarget(a=[1.0, 0.0]))
+        ts = shift_set(np.array([[1.0, 2.0]]), Direction([1.0, 0.0]), 0.0, LinearTarget(a=[1.0, 0.0]))
         fs = FeatureSample(weights=np.array([[-1.0, -1.0, -1.0]]))
         beta = beta_from_alpha(ts, AlphaVector(values=np.array([2.0]), delta=1.0, mode=MonteCarlo(fs)))
         assert np.array_equal(beta.beta1, np.zeros((1, 3)))
@@ -132,25 +128,23 @@ class TestBetaClosedForm:
 class TestPredict:
     def test_zero_labels_zero_everywhere(self):
         ts, *_ = _training_set()
-        zero_ts = shift_set(ts.realization, ts.direction, ts.t, LinearTarget(a=[0.0, 0.0], b=0.0))
+        zero_ts = shift_set(ts.points, ts.direction, ts.t, LinearTarget(a=[0.0, 0.0], b=0.0))
         alpha = tikhonov_solve(assemble_gram(zero_ts, ANALYTIC), TikhonovConfig(delta=0.5), zero_ts.labels)
         pred = PointWisePredictor(training=zero_ts, alpha=alpha)
         for x in ([0.0, 0.0], [1.0, -1.0], [10.0, 3.0]):
-            assert predict(pred, Point(x)) == 0.0
+            assert predict(pred, np.array([x]))[0] == 0.0
 
     def test_single_point_ridge_identity(self):
-        phi = Realization((Point([0.4, -0.3]),))
         g = LinearTarget(a=[0.0, 0.0], b=2.0)
-        ts = shift_set(phi, Direction([1.0, 0.0]), 5.0, g)
+        ts = shift_set(np.array([[0.4, -0.3]]), Direction([1.0, 0.0]), 5.0, g)
         delta = 0.25
         km = assemble_gram(ts, ANALYTIC)
         alpha = tikhonov_solve(km, TikhonovConfig(delta=delta), ts.labels)
         pred = PointWisePredictor(training=ts, alpha=alpha)
-        z = Point(ts.shifted[0])
         kzz = km.entries[0, 0]
         expected = kzz / (kzz + delta) * 2.0
-        assert predict(pred, z) == pytest.approx(expected, rel=1e-12)
-        assert predict(pred, z) < 2.0
+        assert predict(pred, ts.shifted)[0] == pytest.approx(expected, rel=1e-12)
+        assert predict(pred, ts.shifted)[0] < 2.0
 
     def test_pointwise_equals_feature_space(self):
         ts, *_ = _training_set(n=8, t=100.0)
@@ -161,9 +155,9 @@ class TestPredict:
         fsp = beta_from_alpha(ts, alpha)
         rng = np.random.default_rng(21)
         for _ in range(100):
-            x = Point(rng.uniform(-3, 3, 2))
-            a = predict(pw, x)
-            b = predict(fsp, x)
+            x = rng.uniform(-3, 3, (1, 2))
+            a = predict(pw, x)[0]
+            b = predict(fsp, x)[0]
             assert abs(a - b) <= 1e-9 * (1.0 + abs(a))
 
 
@@ -178,8 +172,7 @@ class TestBatchedPredict:
     )
     def test_batched_equals_per_point(self, seed, n, m, t, k):
         rng = np.random.default_rng(seed)
-        phi = Realization(tuple(Point(r) for r in rng.uniform(-1, 1, (n, 2))))
-        ts = shift_set(phi, Direction(rng.standard_normal(2)), t, SinusoidalTarget(u=[1.3, -0.7], phase=0.4))
+        ts = shift_set(rng.uniform(-1, 1, (n, 2)), Direction(rng.standard_normal(2)), t, SinusoidalTarget(u=[1.3, -0.7], phase=0.4))
         values = rng.standard_normal(n)
         analytic = AlphaVector(values=values, delta=1.0)
         sampled = AlphaVector(values=values, delta=1.0, mode=MonteCarlo(sample_features(2, k, seed=seed)))
@@ -197,7 +190,7 @@ class TestBatchedPredict:
                 kernel = kernel_matrix(xa, ts.augmented, pred.alpha.mode)
                 assert np.array_equal(batch, np.vecdot(kernel, pred.alpha.values))
             for i in range(m):
-                assert batch[i] == predict(pred, Point(xs[i]))
+                assert batch[i] == predict(pred, xs[i : i + 1])[0]
 
     def test_alpha_of_another_length_rejected_at_construction(self):
         ts, *_ = _training_set()
@@ -208,7 +201,24 @@ class TestBatchedPredict:
     def test_point_gives_float(self):
         ts, *_ = _training_set()
         pred = PointWisePredictor(training=ts, alpha=AlphaVector(values=np.ones(ts.n), delta=1.0))
-        assert isinstance(predict(pred, Point([0.1, 0.2])), float)
+        got = predict(pred, np.array([[0.1, 0.2]]))
+        assert got.shape == (1,) and got.dtype == np.float64
+
+    def test_one_row_calls_match_the_batch_at_sweep_sizes(self):
+        # theorem1's 41-point window against 32 training points and 2000
+        # features, larger than the property test's draws.
+        ts, *_ = _training_set(seed=8, n=32, t=1e3)
+        rng = np.random.default_rng(9)
+        values = rng.standard_normal(ts.n)
+        sampled = AlphaVector(values=values, delta=1.0, mode=MonteCarlo(sample_features(2, 2000, seed=10)))
+        xs = rng.uniform(-0.1, 0.1, (41, 2))
+        for pred in (
+            PointWisePredictor(training=ts, alpha=AlphaVector(values=values, delta=1.0)),
+            PointWisePredictor(training=ts, alpha=sampled),
+            beta_from_alpha(ts, sampled),
+        ):
+            batch = predict(pred, xs)
+            assert np.array_equal(batch, [predict(pred, xs[i : i + 1])[0] for i in range(len(xs))])
 
     def test_rejects_flat_or_wrong_width_arrays(self):
         ts, *_ = _training_set()
@@ -227,8 +237,7 @@ class TestBiasSensitivity:
     @staticmethod
     def _context(t=10.0, delta=0.01, n=2):
         # g_sum = 3 via a constant target of 1.5 per point.
-        phi = Realization((Point([0.3, -0.4]), Point([0.1, 0.2]))[:n])
-        ts = shift_set(phi, Direction([0.6, -0.8]), t, LinearTarget(a=[0.0, 0.0], b=1.5))
+        ts = shift_set(np.array([[0.3, -0.4], [0.1, 0.2]])[:n], Direction([0.6, -0.8]), t, LinearTarget(a=[0.0, 0.0], b=1.5))
         return closed_form_context(ts, kappa=1.0, delta=delta)
 
     def test_frozen_two_point_value(self):

@@ -447,6 +447,7 @@ class TestCli:
         ("mlp-compare", {"delta": {"value": float("nan")}}, [], "delta"),
         ("mlp-compare", {"eval_points": -1}, [], "eval_points"),
         ("inverse-check", {"n_list": [0]}, [], "n_list"),
+        ("inverse-check", {"stencil_max_order": 67}, [], "stencil_max_order"),
         ("inverse-check", {"bias_sensitivity": {"probes": 0}}, [], "bias_sensitivity.probes"),
         ("theorem1", {}, ["--seed", "-1"], "seed"),
         ("theorem1", {}, ["--threads", "0"], "threads"),
@@ -454,7 +455,7 @@ class TestCli:
          "include_orthogonal"),
     ], ids=["n-negative", "n-fractional", "box-one-bound", "radius-string", "seed-negative", "t-zero",
             "t-negative", "t-square-overflows", "v-phi-wrong-length", "features-seed-string", "window-reversed", "target-wrong-length",
-            "delta-infinite", "delta-nan", "eval-points-negative", "n-list-zero", "probes-zero", "cli-seed-negative", "cli-threads-zero",
+            "delta-infinite", "delta-nan", "eval-points-negative", "n-list-zero", "stencil-order-past-int64", "probes-zero", "cli-seed-negative", "cli-threads-zero",
             "orthogonal-direction-in-one-dimension"])
     def test_value_breaking_its_rule_is_a_config_error(self, tmp_path, capsys, sub, overlay, args, key):
         path = tmp_path / "cfg.json"
@@ -465,6 +466,14 @@ class TestCli:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert re.match(rf"config error: {sub} {re.escape(key)}[ :]", err)
         assert not out.exists()
+
+    def test_largest_stencil_order_checks_every_row(self):
+        # binom(66, 33) is the largest binomial the int64 rows hold.
+        cfg = overlay_config("inverse-check", {**SMALL["inverse-check"], "stencil_max_order": 66})
+        res = RUNNERS["inverse-check"](cfg)
+        idx = {h: i for i, h in enumerate(res.header)}
+        (row,) = [r for r in res.rows if r[idx["check"]] == "pascal_shift"]
+        assert (row[idx["status"]], row[idx["residual"]], row[idx["detail"]]) == ("ok", 0.0, "z<=66")
 
     def test_print_config(self, capsys):
         assert main(["kappa", "--print-config"]) == 0
